@@ -1,18 +1,10 @@
-"""Propagation throughput scale curve + the persistent-pool CI gate.
+"""Propagation throughput scale curve.
 
-Two measurements, both recorded in ``results/BENCH_suite.json``:
-
-* ``micro_scale`` — destinations/second of one Gao–Rexford convergence at
-  1k / 10k / 44k ASes (the 44k tier is the paper's 44,340-AS UCLA IRL
-  topology), for the serial array backend and the persistent
-  shared-memory pool.  The rendered curve lands in
-  ``results/microbench_scale.txt``.
-* ``micro_scale_gate`` — the ISSUE-9 acceptance gate: at the 10k tier a
-  **persistent** pool must finish a stream of small destination batches
-  at least 2x faster than **fork-per-run** pools, because each fork-per-
-  run call pays pool spin-up while the standing pool pays it once.  Both
-  sides take the best of three repetitions so scheduler noise cannot
-  flip the verdict.
+``micro_scale`` (recorded in ``results/BENCH_suite.json``) —
+destinations/second of one Gao–Rexford convergence at 1k / 10k / 44k ASes
+(the 44k tier is the paper's 44,340-AS UCLA IRL topology), for the serial
+array backend and the 2-worker shared-memory pool.  The rendered curve
+lands in ``results/microbench_scale.txt``.
 
 Tier selection is environment-driven so CI stays fast: set
 ``MIFO_SCALE_TIERS`` to a comma-separated subset of ``1k,10k,44k``
@@ -22,9 +14,7 @@ run all three tiers locally to refresh the full curve.
 
 import os
 
-import pytest
-
-from repro.bgp.parallel import ParallelRoutingEngine, fork_available
+from repro.bgp.parallel import ParallelRoutingEngine
 from repro.telemetry import Stopwatch
 from repro.topology.generator import TopologyConfig, generate_topology
 
@@ -38,13 +28,6 @@ TIERS: dict[str, int] = {"1k": 1_000, "10k": 10_000, "44k": 44_340}
 CURVE_DESTS: dict[str, int] = {"1k": 32, "10k": 12, "44k": 6}
 
 _DEFAULT_TIERS = "1k,10k"
-
-#: Gate shape: NB batches of BATCH destinations each, best of REPS runs.
-GATE_TIER = "10k"
-GATE_BATCH = 2
-GATE_BATCHES = 12
-GATE_REPS = 3
-GATE_MIN_SPEEDUP = 2.0
 
 
 def selected_tiers() -> list[str]:
@@ -74,7 +57,7 @@ def _graph(tier: str):
 
 class TestScaleCurve:
     def test_dests_per_second_curve(self, results_dir, bench_report):
-        """Record serial + persistent-pool throughput at each tier."""
+        """Record serial + pooled throughput at each tier."""
         tiers = selected_tiers()
         rows: list[tuple[str, int, int, float, float]] = []
         for tier in tiers:
@@ -87,9 +70,7 @@ class TestScaleCurve:
             serial_map = serial.compute_many(dests)
             serial_tput = n_dests / sw.elapsed
 
-            with ParallelRoutingEngine(
-                graph, n_workers=2, persistent=True
-            ) as engine:
+            with ParallelRoutingEngine(graph, n_workers=2) as engine:
                 # pool spin-up outside the timed region (>= 2 dests, or the
                 # engine takes the serial path and never starts the pool)
                 engine.compute_many(dests[:2])
@@ -132,51 +113,3 @@ class TestScaleCurve:
         for (_, _, _, prev, _), (_, _, _, cur, _) in zip(rows, rows[1:]):
             assert cur < prev, (rows,)
 
-
-class TestPersistentPoolGate:
-    @pytest.mark.skipif(not fork_available(), reason="needs the fork start method")
-    def test_persistent_amortizes_pool_startup(self, bench_report):
-        """ISSUE-9 gate: persistent >= 2x fork-per-run on repeated batches."""
-        if GATE_TIER not in selected_tiers():
-            pytest.skip(f"gate tier {GATE_TIER!r} not in MIFO_SCALE_TIERS")
-        graph = _graph(GATE_TIER)
-        batches = [
-            list(range(b * GATE_BATCH, (b + 1) * GATE_BATCH))
-            for b in range(GATE_BATCHES)
-        ]
-
-        def run_fork_per_run() -> float:
-            engine = ParallelRoutingEngine(graph, n_workers=2)
-            sw = Stopwatch()
-            for batch in batches:
-                engine.compute_many(batch)
-            return sw.elapsed
-
-        def run_persistent() -> float:
-            with ParallelRoutingEngine(
-                graph, n_workers=2, persistent=True
-            ) as engine:
-                engine.compute_many(batches[0])  # pool paid once, here
-                assert engine.pool_live
-                sw = Stopwatch()
-                for batch in batches:
-                    engine.compute_many(batch)
-                return sw.elapsed
-
-        fork_s = min(run_fork_per_run() for _ in range(GATE_REPS))
-        persistent_s = min(run_persistent() for _ in range(GATE_REPS))
-        speedup = fork_s / persistent_s
-
-        bench_report(
-            "micro_scale_gate",
-            tier=GATE_TIER,
-            batch=GATE_BATCH,
-            batches=GATE_BATCHES,
-            fork_per_run_s=round(fork_s, 4),
-            persistent_s=round(persistent_s, 4),
-            speedup=round(speedup, 2),
-        )
-        assert speedup >= GATE_MIN_SPEEDUP, (
-            f"persistent pool only {speedup:.2f}x faster than fork-per-run "
-            f"(gate: >= {GATE_MIN_SPEEDUP}x): {fork_s:.3f}s vs {persistent_s:.3f}s"
-        )

@@ -3,8 +3,7 @@
 Two acceptance gates for ``repro.service`` at scale:
 
 * **Throughput curve** — steady-state events/s at ``batch_max`` 1, 16
-  and 64, serial and with a persistent sharded routing engine attached.
-  Best-of-reps (max rate = min wall-clock) lands in
+  and 64.  Best-of-reps (max rate = min wall-clock) lands in
   ``results/microbench_service.txt`` and ``results/BENCH_suite.json``.
   The CI gate: batching at 64 must clear **3x** the single-threaded
   unbatched (seed) rate — the point of coalescing N ticks into one
@@ -25,7 +24,6 @@ import sys
 
 import pytest
 
-from repro.bgp.parallel import ParallelRoutingEngine
 from repro.service import ServiceConfig, ServiceSession
 from repro.telemetry import Stopwatch
 from repro.topology.generator import TopologyConfig
@@ -63,74 +61,51 @@ def _rss_mb() -> float:
     return peak / 1024.0 if sys.platform != "darwin" else peak / (1024.0**2)
 
 
-def _curve_rate(batch_max: int, *, sharded: bool) -> float:
+def _curve_rate(batch_max: int) -> float:
     """Best-of-reps steady-state events/s for one curve cell."""
     best = 0.0
     for _ in range(CURVE_REPS):
         cfg = ServiceConfig(batch_max=batch_max, **_BASE)
         session = ServiceSession(cfg, topology=TOPO, backend="array")
-        if sharded:
-            session.attach_routing_engine(
-                ParallelRoutingEngine(
-                    session.engine.routing.graph,
-                    n_workers=4,
-                    persistent=True,
-                ),
-                shard_min=4,
-            )
-        try:
-            session.drain(CURVE_WARMUP)
-            sw = Stopwatch()
-            session.drain(N_CURVE_EVENTS)
-            best = max(best, N_CURVE_EVENTS / sw.elapsed)
-        finally:
-            session.close()
+        session.drain(CURVE_WARMUP)
+        sw = Stopwatch()
+        session.drain(N_CURVE_EVENTS)
+        best = max(best, N_CURVE_EVENTS / sw.elapsed)
     return best
 
 
 class TestServiceThroughputCurve:
     @pytest.mark.slow
     def test_batched_throughput_clears_gate(self, results_dir, bench_report):
-        rates: dict[tuple[int, str], float] = {}
-        for batch_max in CURVE_BATCHES:
-            for mode in ("serial", "sharded"):
-                rates[(batch_max, mode)] = _curve_rate(
-                    batch_max, sharded=(mode == "sharded")
-                )
-
-        seed_rate = rates[(1, "serial")]
+        rates = {batch_max: _curve_rate(batch_max) for batch_max in CURVE_BATCHES}
+        seed_rate = rates[1]
         lines = [
             "Service-mode throughput curve (events/s, best of "
             f"{CURVE_REPS} reps, {N_CURVE_EVENTS} events/rep, "
             f"{TOPO.n_ases} ASes, array backend)",
-            f"  {'batch_max':>9}  {'serial':>10}  {'sharded':>10}  speedup",
+            f"  {'batch_max':>9}  {'events/s':>10}  speedup",
         ]
-        for batch_max in CURVE_BATCHES:
-            serial = rates[(batch_max, "serial")]
-            sharded = rates[(batch_max, "sharded")]
+        for batch_max, rate in rates.items():
             lines.append(
-                f"  {batch_max:>9}  {serial:>10,.0f}  {sharded:>10,.0f}  "
-                f"{serial / seed_rate:.2f}x"
+                f"  {batch_max:>9}  {rate:>10,.0f}  {rate / seed_rate:.2f}x"
             )
         lines.append(
-            f"  gate: batch-64 serial >= {BATCH_SPEEDUP_GATE:g}x batch-1 "
-            f"serial ({rates[(64, 'serial')] / seed_rate:.2f}x measured)"
+            f"  gate: batch-64 >= {BATCH_SPEEDUP_GATE:g}x batch-1 "
+            f"({rates[64] / seed_rate:.2f}x measured)"
         )
         write_result(results_dir, "microbench_service", "\n".join(lines))
-        for (batch_max, mode), rate in sorted(rates.items()):
+        for batch_max, rate in rates.items():
             bench_report(
                 "service_throughput",
                 batch_max=batch_max,
-                mode=mode,
+                mode="serial",  # continues the pre-existing serial series
                 n_events=N_CURVE_EVENTS,
                 events_per_sec=round(rate, 1),
             )
 
-        assert rates[(64, "serial")] >= BATCH_SPEEDUP_GATE * seed_rate, (
-            "\n".join(lines)
-        )
+        assert rates[64] >= BATCH_SPEEDUP_GATE * seed_rate, "\n".join(lines)
         # Batching must help monotonically at curve granularity.
-        assert rates[(16, "serial")] > seed_rate, "\n".join(lines)
+        assert rates[16] > seed_rate, "\n".join(lines)
 
 
 class TestServiceSoak:

@@ -1,18 +1,17 @@
 #!/usr/bin/env python3
-"""Paper-scale propagation over a persistent shared-memory worker pool.
+"""Paper-scale propagation over the shared-memory worker pool.
 
 Builds a topology tier of the paper's 44,340-AS measured Internet
 (default 5,000 ASes so the demo finishes in seconds — pass ``--ases
 44340`` for the real thing), exports the frozen CSR arrays into named
 shared memory once, and streams destination shards through one standing
-worker pool — the access pattern of a scenario timeline or service
-session, where propagation arrives as many small batches and
-fork-per-run pool spin-up would dominate.
+worker pool — bulk cache fills arriving as many batches, with pool
+spin-up paid once.
 
-Printed at the end: dests/sec for (a) serial in-process convergence,
-(b) fork-per-run pools, (c) the persistent pool, plus proof that all
-three produced identical routes and that the shared-memory segment is
-gone afterwards.  See docs/scaling.md for the full guide.
+Printed at the end: dests/sec for (a) serial in-process convergence and
+(b) the pool, plus proof that both produced identical routes and that
+the shared-memory segment is gone afterwards.  On a 1–2 CPU host expect
+serial to win; see docs/scaling.md for the full guide.
 
 Run:  python examples/paper_scale_run.py [--ases N] [--workers N]
 """
@@ -53,30 +52,19 @@ def main() -> None:
         reference.update(serial_engine.compute_many(shard))
     serial_s = time.perf_counter() - t0
 
-    # (b) fork-per-run: every shard pays pool spin-up.
-    fork_engine = ParallelRoutingEngine(graph, n_workers=args.workers)
-    t0 = time.perf_counter()
-    fork_routes = {}
-    for shard in shards:
-        fork_routes.update(fork_engine.compute_many(shard))
-    fork_s = time.perf_counter() - t0
-
-    # (c) persistent: CSR exported to shared memory once, one standing pool.
-    with ParallelRoutingEngine(
-        graph, n_workers=args.workers, persistent=True
-    ) as engine:
+    # (b) pooled: CSR exported to shared memory once, one standing pool.
+    with ParallelRoutingEngine(graph, n_workers=args.workers) as engine:
         engine.compute_many(shards[0])  # spin-up paid here, once
         segment = engine.segment_name
         t0 = time.perf_counter()
         pool_routes = {}
         for shard in shards:
             pool_routes.update(engine.compute_many(shard))
-        persistent_s = time.perf_counter() - t0
+        pooled_s = time.perf_counter() - t0
         print(f"shared CSR segment: /dev/shm/{segment}")
 
     identical = all(
         pool_routes[d].best_path(0) == reference[d].best_path(0)
-        and fork_routes[d].best_path(0) == reference[d].best_path(0)
         and pool_routes[d].reachable_count() == reference[d].reachable_count()
         for d in reference
     )
@@ -85,16 +73,10 @@ def main() -> None:
     print(f"\n{n_dests} destinations in {N_SHARDS} shards of {SHARD_SIZE}:")
     print(f"  serial         : {serial_s:7.2f}s ({n_dests / serial_s:7.1f} dests/s)")
     print(
-        f"  fork-per-run   : {fork_s:7.2f}s ({n_dests / fork_s:7.1f} dests/s)"
-        f"  [{args.workers} workers x {N_SHARDS} pools]"
+        f"  pool           : {pooled_s:7.2f}s ({n_dests / pooled_s:7.1f} dests/s)"
+        f"  [{args.workers} workers]  {serial_s / pooled_s:.2f}x vs serial"
     )
-    print(
-        f"  persistent pool: {persistent_s:7.2f}s "
-        f"({n_dests / persistent_s:7.1f} dests/s)"
-        f"  [{args.workers} workers, 1 pool]  "
-        f"{fork_s / persistent_s:.1f}x vs fork-per-run"
-    )
-    print(f"  routes identical across all three modes: {identical}")
+    print(f"  routes identical across both: {identical}")
     print(f"  segment unlinked after close: {segment_gone}")
 
 

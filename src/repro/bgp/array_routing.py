@@ -73,7 +73,7 @@ def converge_csr(csr: CsrAdjacency, dest_idx: int) -> tuple[np.ndarray, ...]:
     next_hop)`` — the exact payload :meth:`ArrayDestinationRouting.state`
     ships between processes.  Needs only a :class:`CsrAdjacency` (which may
     be a read-only shared-memory attachment, see :mod:`repro.bgp.shm`) and
-    a **dense** destination index, so persistent-pool workers can converge
+    a **dense** destination index, so pool workers can converge
     destinations without ever holding an :class:`ASGraph`.
     """
     n = csr.n_nodes

@@ -3,35 +3,28 @@ backend).
 
 Per-destination Gao–Rexford convergence is embarrassingly parallel: every
 destination reads the same frozen CSR arrays and writes only its own
-result.  :class:`ParallelRoutingEngine` exploits that in two modes:
+result.  :class:`ParallelRoutingEngine` exploits that for **bulk** work
+(:meth:`~ParallelRoutingEngine.compute_many`, reached through
+``RoutingCache.precompute``) in exactly one shape: with more than one
+worker the frozen CSR arrays are exported once into named shared memory
+(:mod:`repro.bgp.shm`) and a worker pool is created once per engine
+lifetime; workers attach zero-copy in their initializer and each task
+ships only a tuple of dense destination indices.  The pool works under
+``fork`` and ``spawn`` alike (the graph never crosses a pipe), survives
+worker crashes by falling back to in-process compute and rebuilding the
+pool on the next call, and releases the pool and segment on
+:meth:`~ParallelRoutingEngine.close` / garbage collection.
 
-* **fork-per-run** (the default) — a fresh ``fork`` pool per
-  :meth:`~ParallelRoutingEngine.compute_many` call; the topology is shared
-  copy-on-write and never pickled.  Zero standing state, but every call
-  pays the pool spin-up, which dominates at paper scale where propagation
-  happens in many small destination shards.
-* **persistent** (``persistent=True``) — the frozen CSR arrays are
-  exported once into named shared memory (:mod:`repro.bgp.shm`) and a
-  worker pool is created once per engine lifetime; workers attach
-  zero-copy in their initializer and each task ships only a tuple of
-  dense destination indices.  Works under ``spawn`` too (the graph never
-  crosses a pipe), survives worker crashes by falling back to in-process
-  compute and rebuilding the pool on the next call, and releases the pool
-  and segment on :meth:`~ParallelRoutingEngine.close` / garbage
-  collection.
-
-Either way workers ship back only each destination's five result arrays
-(a few KB at bench scale), which the parent re-wraps around its own graph
-via :meth:`~repro.bgp.array_routing.ArrayDestinationRouting.from_state`,
-and worker telemetry flows through child-local snapshots absorbed in
+Workers ship back only each destination's five result arrays (a few KB at
+bench scale), which the parent re-wraps around its own graph via
+:meth:`~repro.bgp.array_routing.ArrayDestinationRouting.from_state`, and
+worker telemetry flows through child-local snapshots absorbed in
 submission order — deterministic totals for any worker count.
 
 Degradation is graceful and explicit:
 
-* ``n_workers=1`` (or an effectively-serial pool) computes in-process,
-  bit-for-bit identical to the parallel path;
-* platforms without the ``fork`` start method fall back to serial in
-  fork-per-run mode, and to a ``spawn`` pool in persistent mode;
+* ``n_workers=1`` (or a single destination) computes in-process,
+  bit-for-bit identical to the pooled path;
 * the ``dict`` backend is always serial — its per-node dict state is the
   cross-validation oracle, not a shipping format.
 
@@ -39,7 +32,8 @@ Results flow back through the ordinary
 :class:`~repro.bgp.propagation.RoutingCache` interface — see
 ``RoutingCache.precompute`` — so nothing downstream (providers, metrics,
 experiments) knows whether a destination was computed serially or on a
-worker.
+worker.  The streaming service path does not use the pool: flap-driven
+dirty sets re-converge in-process (docs/scaling.md records why).
 """
 
 from __future__ import annotations
@@ -67,19 +61,14 @@ from .shm import AttachedCsr, CsrSegment, SegmentManifest, attach_csr
 
 __all__ = ["ParallelRoutingEngine", "fork_available", "resolve_workers"]
 
-#: Module-level slot read by forked workers.  Set in the parent immediately
-#: before the pool forks; children inherit it through copy-on-write memory,
-#: which is the whole point — the graph never crosses a pipe.
-_WORKER_GRAPH: ASGraph | None = None
-
-#: Module-level slot holding the shared-memory CSR attachment in each
-#: persistent-pool worker.  Installed exactly once per worker lifetime by
-#: the pool initializer (:func:`_attach_worker`); tasks only read it.
+#: Module-level slot holding the shared-memory CSR attachment in each pool
+#: worker.  Installed exactly once per worker lifetime by the pool
+#: initializer (:func:`_attach_worker`); tasks only read it.
 _WORKER_CSR: AttachedCsr | None = None
 
 
 def fork_available() -> bool:
-    """Whether this platform can fork workers that inherit shared arrays."""
+    """Whether this platform can fork workers (cheaper to start than spawn)."""
     return "fork" in multiprocessing.get_all_start_methods()
 
 
@@ -92,80 +81,39 @@ def resolve_workers(n_workers: int | None) -> int:
     return n_workers
 
 
-def _compute_chunk(
-    chunk: Sequence[int],
-) -> tuple[list[tuple[int, tuple[np.ndarray, ...]]], TelemetrySnapshot | None]:
-    """Fork-per-run worker body: converge each destination, return states.
-
-    When the parent forked with telemetry active, the child inherits the
-    parent's registry copy-on-write — recording into it would be invisible
-    to the parent.  Instead each chunk records into a fresh child-local
-    :class:`Telemetry` and ships its snapshot back alongside the results;
-    the parent absorbs snapshots in ``imap`` order, keeping the merged
-    totals (and trace event order) deterministic for any worker count.
-    """
-    graph = _WORKER_GRAPH
-    assert graph is not None, "worker forked before _WORKER_GRAPH was set"
-    inherited = tm.active()
-    if inherited is None:
-        return [(d, ArrayDestinationRouting(graph, d).state()) for d in chunk], None
-    local = Telemetry(trace_capacity=inherited.trace_capacity)
-    tm.activate(local)
-    try:
-        states = [(d, ArrayDestinationRouting(graph, d).state()) for d in chunk]
-    finally:
-        tm.activate(inherited)
-    return states, local.snapshot()
-
-
 def _attach_worker(manifest: SegmentManifest) -> None:
-    """Persistent-pool initializer: attach the shared CSR segment.
+    """Pool initializer: attach the shared CSR segment.
 
     Runs once per worker process (fork or spawn); the attachment is held
     in the sanctioned worker-local slot ``_WORKER_CSR`` for every
     subsequent :func:`_compute_shard` task.  This is a one-way install of
     worker-local state, never a channel back to the parent — results and
-    telemetry still return exclusively through task return values.
-
-    The attach is best-effort: a worker respawned after
-    :meth:`ParallelRoutingEngine.rebind` holds initargs naming a segment
-    that may already be unlinked, and every task carries the current
-    manifest anyway, so :func:`_compute_shard` re-attaches on demand.
+    telemetry still return exclusively through task return values.  An
+    engine's graph is fixed for its life, so the segment named here is the
+    one every task of this pool is computed against.
     """
     global _WORKER_CSR
-    try:
-        _WORKER_CSR = attach_csr(manifest)
-    except TopologyError:
-        _WORKER_CSR = None
+    _WORKER_CSR = attach_csr(manifest)
 
 
 def _compute_shard(
-    task: tuple[tuple[int, ...], int | None, SegmentManifest],
+    task: tuple[tuple[int, ...], int | None],
 ) -> tuple[list[tuple[int, tuple[np.ndarray, ...]]], TelemetrySnapshot | None]:
-    """Persistent-pool worker body: converge a shard of dense indices.
+    """Pool worker body: converge a shard of dense indices.
 
-    ``task`` is ``(dest_indices, trace_capacity, manifest)`` — indices
-    are dense CSR rows (the parent owns the ASN mapping), and
-    ``trace_capacity`` is ``None`` when the parent has no telemetry
-    active at submission time.  The manifest names the segment the shard
-    must be computed against: long-lived pools outlive topology changes
-    (:meth:`ParallelRoutingEngine.rebind` re-exports the CSR without
-    restarting workers), so a worker whose cached attachment is for a
-    different segment detaches it and re-attaches here.  Mirrors
-    :func:`_compute_chunk`'s accounting exactly: each destination is
-    converged under a ``bgp.propagate`` span with the same counters the
-    serial path records, into a child-local registry whose snapshot ships
-    back for in-order absorption.
+    ``task`` is ``(dest_indices, trace_capacity)`` — indices are dense CSR
+    rows (the parent owns the ASN mapping), and ``trace_capacity`` is
+    ``None`` when the parent has no telemetry active at submission time.
+    A forked worker inherits the parent's registry copy-on-write —
+    recording into it would be invisible to the parent — so with telemetry
+    on, each destination is converged under a ``bgp.propagate`` span with
+    the same counters the serial path records, into a child-local registry
+    whose snapshot ships back for in-order absorption.
     """
-    global _WORKER_CSR
-    shard, trace_capacity, manifest = task
     attached = _WORKER_CSR
-    if attached is None or attached.segment_name != manifest.segment:
-        if attached is not None:
-            attached.detach()
-        attached = attach_csr(manifest)
-        _WORKER_CSR = attached
+    assert attached is not None, "pool task ran before _attach_worker"
     csr = attached.csr
+    shard, trace_capacity = task
     if trace_capacity is None:
         return [(idx, converge_csr(csr, idx)) for idx in shard], None
     previous = tm.active()
@@ -185,7 +133,7 @@ def _compute_shard(
 
 
 class _PoolResources:
-    """Mutable holder for the lazily created persistent pool + segment.
+    """Mutable holder for the lazily created worker pool + segment.
 
     One ``weakref.finalize`` guard per engine points here, so whatever the
     engine created by the time it is closed or collected gets released —
@@ -218,19 +166,18 @@ class ParallelRoutingEngine:
     Parameters
     ----------
     graph:
-        A frozen :class:`ASGraph`.
+        A frozen :class:`ASGraph`; fixed for the engine's life.
     n_workers:
         Worker processes; ``None`` means one per CPU.  ``1`` runs serial.
+        More than one keeps a worker pool (and one shared-memory CSR
+        export) alive for the engine's lifetime.  Call :meth:`close` (or
+        use the engine as a context manager) to release them; garbage
+        collection releases them too.  Results are byte-identical across
+        all worker counts.
     backend:
         ``"array"`` (parallelizable) or ``"dict"`` (oracle; always serial).
-    chunk_size:
-        Destinations per work item; ``None`` picks ~4 chunks per worker.
     persistent:
-        Keep one worker pool (and one shared-memory CSR export) alive for
-        the engine's lifetime instead of forking per call.  Call
-        :meth:`close` (or use the engine as a context manager) to release
-        them; garbage collection releases them too.  Results are
-        byte-identical across all modes and worker counts.
+        Accepted and ignored: selects nothing (``bench/`` still passes it).
     """
 
     def __init__(
@@ -239,8 +186,7 @@ class ParallelRoutingEngine:
         *,
         n_workers: int | None = None,
         backend: str = "array",
-        chunk_size: int | None = None,
-        persistent: bool = False,
+        persistent: bool = True,
     ) -> None:
         if backend not in ("array", "dict"):
             raise ConfigError(f"unknown routing backend {backend!r}")
@@ -249,10 +195,6 @@ class ParallelRoutingEngine:
         self.graph = graph
         self.backend = backend
         self.n_workers = resolve_workers(n_workers)
-        self.chunk_size = chunk_size
-        self.persistent = persistent
-        if chunk_size is not None and chunk_size < 1:
-            raise ConfigError(f"chunk_size must be >= 1, got {chunk_size}")
         self._resources = _PoolResources()
         self._finalizer = weakref.finalize(
             self, _PoolResources.release, self._resources
@@ -263,7 +205,7 @@ class ParallelRoutingEngine:
     # ------------------------------------------------------------------
     @property
     def pool_live(self) -> bool:
-        """Whether a persistent worker pool currently exists."""
+        """Whether a worker pool currently exists."""
         return self._resources.pool is not None
 
     @property
@@ -273,35 +215,13 @@ class ParallelRoutingEngine:
         return None if segment is None else segment.manifest.segment
 
     def close(self) -> None:
-        """Release the persistent pool and unlink the shared segment.
+        """Release the worker pool and unlink the shared segment.
 
-        Idempotent, and a no-op for engines that never went persistent.
-        The engine stays usable afterwards: the next persistent
+        Idempotent, and a no-op for engines that never started a pool.
+        The engine stays usable afterwards: the next pooled
         ``compute_many`` lazily re-creates both resources.
         """
         self._resources.release()
-
-    def rebind(self, graph: ASGraph) -> None:
-        """Point the engine at a new frozen topology, keeping the pool.
-
-        The streaming flap path mutates the topology between solves; a
-        fork-per-run engine needs nothing (each call forks off the current
-        graph), but a persistent engine's shared-memory export describes
-        the *old* arrays.  ``rebind`` retargets it: the stale segment is
-        unlinked (workers re-attach from the manifest each task carries,
-        and POSIX keeps existing mappings valid past the unlink) while the
-        worker pool itself survives — the expensive resource at streaming
-        rates.  The next ``compute_many`` re-exports the new CSR lazily.
-        No-op when ``graph`` is already the engine's current graph.
-        """
-        if graph is self.graph:
-            return
-        if not graph.frozen:
-            raise TopologyError("freeze() the graph before rebinding an engine")
-        self.graph = graph
-        segment, self._resources.segment = self._resources.segment, None
-        if segment is not None:
-            segment.close()
 
     def __enter__(self) -> "ParallelRoutingEngine":
         return self
@@ -312,17 +232,10 @@ class ParallelRoutingEngine:
     # ------------------------------------------------------------------
     @property
     def effective_workers(self) -> int:
-        """Workers the engine will actually use (after fallbacks).
-
-        The ``dict`` oracle is always serial.  Fork-per-run mode needs the
-        ``fork`` start method; persistent mode works anywhere because
-        workers attach the shared segment instead of inheriting memory.
-        """
-        if self.backend == "dict":
-            return 1
-        if not self.persistent and not fork_available():
-            return 1
-        return self.n_workers
+        """Workers the engine will actually use: the ``dict`` oracle is
+        always serial; the pool works on every platform because workers
+        attach the shared segment instead of inheriting memory."""
+        return 1 if self.backend == "dict" else self.n_workers
 
     def compute(self, dest: int) -> RoutingView:
         """One destination, always in-process."""
@@ -334,8 +247,8 @@ class ParallelRoutingEngine:
         """Converge every destination; returns ``{dest: routing}``.
 
         Duplicate destinations are computed once.  Results are identical
-        (and identically keyed) for every worker count, pool mode, and the
-        serial fallback.
+        (and identically keyed) for every worker count and the serial
+        fallback.
         """
         unique = list(dict.fromkeys(dests))
         if not unique:
@@ -345,64 +258,31 @@ class ParallelRoutingEngine:
             tm.set_gauge("parallel.workers_used", 1)
             return {d: self.compute(d) for d in unique}
         try:
-            if self.persistent:
-                return self._compute_persistent(unique, workers)
-            return self._compute_parallel(unique, workers)
+            return self._compute_pooled(unique, workers)
         except (OSError, BrokenProcessPool):
             # Pool creation failed (fd/process limits, a locked-down
-            # sandbox, EAGAIN under load) or a persistent worker died
-            # mid-task.  Parallelism is a wall-clock knob, never a results
-            # knob, so degrade to the serial path instead of failing the
-            # run; a broken persistent pool is discarded so the next call
-            # starts a fresh one.  Telemetry must report what actually
-            # happened, not what was requested: one worker, and a fallback
-            # on the record.
+            # sandbox, EAGAIN under load) or a worker died mid-task.
+            # Parallelism is a wall-clock knob, never a results knob, so
+            # degrade to the serial path instead of failing the run; the
+            # broken pool is discarded so the next call starts a fresh
+            # one.  Telemetry must report what actually happened, not what
+            # was requested: one worker, and a fallback on the record.
             self._resources.discard_pool()
             tm.inc("parallel.pool_fallbacks")
             tm.set_gauge("parallel.workers_used", 1)
             return {d: self.compute(d) for d in unique}
 
     # ------------------------------------------------------------------
-    def _chunks(self, unique: Sequence[int], workers: int) -> list[list[int]]:
-        """Split a destination list into per-task chunks (~4 per worker)."""
-        chunk = self.chunk_size or max(1, -(-len(unique) // (workers * 4)))
-        return [list(unique[i : i + chunk]) for i in range(0, len(unique), chunk)]
-
-    def _compute_parallel(
-        self, unique: list[int], workers: int
-    ) -> dict[int, RoutingView]:
-        """Fork-per-run mode: a fresh COW pool for this call only."""
-        global _WORKER_GRAPH
-        graph = self.graph
-        # Materialize the CSR arrays *before* forking so children inherit
-        # them copy-on-write instead of each rebuilding the adjacency.
-        graph.csr()
-        chunks = self._chunks(unique, workers)
-        ctx = multiprocessing.get_context("fork")
-        _WORKER_GRAPH = graph
-        telemetry = tm.active()
-        try:
-            with ctx.Pool(processes=workers) as pool:
-                # chunked submission: imap keeps at most a pool's worth of
-                # pending result arrays in flight (vs. map's all-at-once).
-                parts = pool.imap(_compute_chunk, chunks)
-                out: dict[int, RoutingView] = {}
-                for part, snap in parts:
-                    for d, state in part:
-                        out[d] = ArrayDestinationRouting.from_state(graph, d, state)
-                    if telemetry is not None and snap is not None:
-                        telemetry.absorb(snap)
-        finally:
-            _WORKER_GRAPH = None
-        if telemetry is not None:
-            telemetry.set_gauge("parallel.workers_used", workers)
-            telemetry.inc("parallel.chunks", len(chunks))
-        return out
+    @staticmethod
+    def _chunks(idxs: Sequence[int], workers: int) -> list[tuple[int, ...]]:
+        """Split an index list into per-task chunks (~4 per worker)."""
+        chunk = max(1, -(-len(idxs) // (workers * 4)))
+        return [tuple(idxs[i : i + chunk]) for i in range(0, len(idxs), chunk)]
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
-        """The persistent pool, creating segment and workers on first use."""
+        """The worker pool, creating segment and workers on first use."""
         res = self._resources
-        if res.segment is None or res.segment.closed:
+        if res.segment is None:
             res.segment = CsrSegment.create(self.graph.csr())
             tm.set_gauge("parallel.shm_bytes", res.segment.manifest.total_bytes)
         if res.pool is None:
@@ -420,10 +300,10 @@ class ParallelRoutingEngine:
             tm.inc("parallel.pool_reuses")
         return res.pool
 
-    def _compute_persistent(
+    def _compute_pooled(
         self, unique: list[int], workers: int
     ) -> dict[int, RoutingView]:
-        """Persistent mode: shard dense indices over the standing pool."""
+        """Shard dense indices over the standing pool."""
         graph = self.graph
         csr = graph.csr()
         index = csr.index
@@ -432,17 +312,13 @@ class ParallelRoutingEngine:
         except KeyError as exc:
             raise TopologyError(f"destination AS {exc.args[0]} not in graph") from None
         pool = self._ensure_pool()
-        segment = self._resources.segment
-        assert segment is not None  # _ensure_pool just created it
-        manifest = segment.manifest
         telemetry = tm.active()
         trace_capacity = None if telemetry is None else telemetry.trace_capacity
-        chunks = self._chunks(idxs, workers)
-        tasks = [(tuple(chunk), trace_capacity, manifest) for chunk in chunks]
+        tasks = [(chunk, trace_capacity) for chunk in self._chunks(idxs, workers)]
         asns = csr.asns
         out: dict[int, RoutingView] = {}
-        # Executor.map yields in submission order — the same deterministic
-        # merge discipline as the fork path's imap.
+        # Executor.map yields in submission order, so snapshots absorb
+        # (and trace events interleave) identically for any worker count.
         for part, snap in pool.map(_compute_shard, tasks):
             for idx, state in part:
                 dest = int(asns[idx])
@@ -451,5 +327,5 @@ class ParallelRoutingEngine:
                 telemetry.absorb(snap)
         if telemetry is not None:
             telemetry.set_gauge("parallel.workers_used", workers)
-            telemetry.inc("parallel.chunks", len(chunks))
+            telemetry.inc("parallel.chunks", len(tasks))
         return out

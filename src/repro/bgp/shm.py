@@ -1,9 +1,9 @@
 """Named shared-memory export of the frozen CSR topology.
 
-The fork-per-run parallel engine shares the CSR arrays with its workers
-through copy-on-write memory — free, but only for children forked *after*
-the arrays exist, and paid again by every new pool.  This module makes the
-sharing explicit and pool-lifetime-independent: the thirteen arrays of a
+Copy-on-write memory would share the CSR arrays with pool workers for
+free, but only with children forked *after* the arrays exist, and never
+across a ``spawn`` boundary.  This module makes the sharing explicit and
+start-method-independent: the thirteen arrays of a
 :class:`~repro.topology.asgraph.CsrAdjacency` are copied once into a single
 :class:`multiprocessing.shared_memory.SharedMemory` segment, and any
 process — forked or spawned, now or later — attaches zero-copy given only
@@ -35,7 +35,7 @@ whose registry is a set, so the attach-side registration is a no-op and
 exactly one unlink happens when the owner closes.  A process *outside* the
 owner's tracker family that attaches will have its own tracker unlink the
 segment at exit (the long-standing bpo-39959 wart); keep attachers inside
-the owning process tree, which is all the persistent pool ever does.
+the owning process tree, which is all the engine's worker pool ever does.
 """
 
 from __future__ import annotations
@@ -211,10 +211,6 @@ class AttachedCsr:
     def __init__(self, shm: shared_memory.SharedMemory, csr: CsrAdjacency) -> None:
         self._shm = shm
         self.csr = csr
-        #: name of the segment this attachment maps — lets a long-lived
-        #: worker detect that the parent re-exported a new topology and
-        #: re-attach (see ``repro.bgp.parallel._compute_shard``).
-        self.segment_name = shm.name
         self._finalizer = weakref.finalize(self, _close_attachment, shm)
 
     @property

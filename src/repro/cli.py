@@ -37,35 +37,38 @@ if TYPE_CHECKING:  # pragma: no cover - types only
 __all__ = ["main"]
 
 
-def _add_engine_options(
-    parser: argparse.ArgumentParser, *, backend_default: str | None = "dict"
+def _add_backend_option(
+    parser: argparse.ArgumentParser, *, default: str | None = "dict"
 ) -> None:
-    """The routing-engine knobs every compute subcommand shares.
+    """``--routing-backend``, defined once for every compute subcommand.
 
-    One definition site so ``run``, ``scenario run``, ``serve``,
-    ``verify``, ``export`` and ``simulate`` cannot drift apart in
-    defaults, choices or flag names (they used to hand-roll these
-    arguments separately).  ``backend_default`` exists for ``serve``,
-    where an unset backend means "the checkpoint's" on restore.
+    ``default`` exists for ``serve``, where an unset backend means "the
+    checkpoint's" on restore.
     """
     parser.add_argument(
         "--routing-backend",
         choices=("dict", "array"),
-        default=backend_default,
+        default=default,
         help="BGP convergence implementation (array = vectorized CSR backend)",
     )
+
+
+def _add_engine_options(parser: argparse.ArgumentParser) -> None:
+    """The routing-engine knobs the bulk-compute subcommands share.
+
+    One definition site so ``run``, ``scenario run``, ``verify``,
+    ``export`` and ``simulate`` cannot drift apart in defaults, choices
+    or flag names.  ``serve`` takes only the backend: its flap path
+    re-converges in-process.
+    """
+    _add_backend_option(parser)
     parser.add_argument(
         "--workers",
         type=int,
         default=1,
-        help="routing worker processes (0 = one per CPU)",
-    )
-    parser.add_argument(
-        "--persistent-pool",
-        action="store_true",
-        help="keep one worker pool alive over a shared-memory CSR export "
-        "instead of forking per propagation (array backend; "
-        "results are byte-identical — see docs/scaling.md)",
+        help="routing worker processes for bulk precompute (0 = one per "
+        "CPU; >1 starts a pool over a shared-memory CSR export, array "
+        "backend only; results are byte-identical — see docs/scaling.md)",
     )
 
 
@@ -85,25 +88,6 @@ def _engine_from_args(
         graph,
         n_workers=args.workers or None,
         backend=args.routing_backend,
-        persistent=args.persistent_pool,
-    )
-
-
-def _warm_context(args: argparse.Namespace, scale: str) -> None:
-    """Install the CLI's engine options on the memoized SharedContext.
-
-    Experiment modules call ``SharedContext.get(scale, backend, workers)``
-    themselves and leave the pool mode alone (``persistent=None``), so
-    warming the context first is how ``--persistent-pool`` reaches them
-    without threading a new keyword through every experiment signature.
-    """
-    from .experiments.common import SharedContext
-
-    SharedContext.get(
-        scale,
-        backend=args.routing_backend,
-        workers=args.workers or None,
-        persistent=True if args.persistent_pool else None,
     )
 
 
@@ -146,8 +130,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     telem: Telemetry | None = None
     if args.metrics or args.profile or args.trace_out:
         telem = Telemetry()
-    if args.persistent_pool:
-        _warm_context(args, args.scale)
     import inspect
 
     for name in names:
@@ -212,7 +194,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
     from .experiments.common import SharedContext
 
-    SharedContext.close_all()  # release persistent pools / shm before exit
+    SharedContext.close_all()  # release worker pools / shm before exit
     return 0
 
 
@@ -236,8 +218,6 @@ def _cmd_scenario_run(args: argparse.Namespace) -> int:
     telem: Telemetry | None = None
     if args.metrics or args.trace_out:
         telem = Telemetry()
-    if args.persistent_pool:
-        _warm_context(args, args.scale)
     watch = Stopwatch()
     result = scenario_mod.run(
         args.scale,
@@ -273,7 +253,7 @@ def _cmd_scenario_run(args: argparse.Namespace) -> int:
         print(f"wrote {path}", file=sys.stderr)
     from .experiments.common import SharedContext
 
-    SharedContext.close_all()  # release persistent pools / shm before exit
+    SharedContext.close_all()  # release worker pools / shm before exit
     return 0
 
 
@@ -309,17 +289,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             backend=args.routing_backend or "dict",
             telemetry=args.metrics,
         )
-    if args.workers != 1 and session.engine.routing.backend == "array":
-        # Sharded flap re-convergence over a worker pool.  The engine is
-        # built against the session's *effective* backend (restore may
-        # have kept the checkpoint's), and the session owns it from here:
-        # the finally below releases pool and shared memory even on
-        # KeyboardInterrupt, so an interrupted serve leaves /dev/shm
-        # clean.
-        args.routing_backend = session.engine.routing.backend
-        session.attach_routing_engine(
-            _engine_from_args(session.engine.routing.graph, args)
-        )
     interval = (
         args.checkpoint_every
         if args.checkpoint_every is not None
@@ -327,26 +296,23 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     watch = Stopwatch()
     done = 0
-    try:
-        while done < args.events:
-            batch = (
-                args.events - done
-                if interval <= 0
-                else min(interval, args.events - done)
-            )
-            report = session.drain(batch)
-            done += batch
-            print(
-                f"[{session.events_processed}] +{batch} events: "
-                f"{report.arrivals} arrivals, {report.retired} retired, "
-                f"{report.flows_live} live, clock {report.clock_s:.2f}s",
-                file=sys.stderr,
-            )
-            if interval > 0:
-                session.save_checkpoint(args.checkpoint_out)
-                print(f"checkpointed to {args.checkpoint_out}", file=sys.stderr)
-    finally:
-        session.close()
+    while done < args.events:
+        batch = (
+            args.events - done
+            if interval <= 0
+            else min(interval, args.events - done)
+        )
+        report = session.drain(batch)
+        done += batch
+        print(
+            f"[{session.events_processed}] +{batch} events: "
+            f"{report.arrivals} arrivals, {report.retired} retired, "
+            f"{report.flows_live} live, clock {report.clock_s:.2f}s",
+            file=sys.stderr,
+        )
+        if interval > 0:
+            session.save_checkpoint(args.checkpoint_out)
+            print(f"checkpointed to {args.checkpoint_out}", file=sys.stderr)
     rate = done / watch.elapsed if watch.elapsed > 0 else float("inf")
     print(f"processed {done} events in {watch.elapsed:.1f}s "
           f"({rate:.0f} events/s)", file=sys.stderr)
@@ -455,8 +421,6 @@ def _cmd_export(args: argparse.Namespace) -> int:
     from .experiments.common import SharedContext
     from .experiments.export import export_all
 
-    if args.persistent_pool:
-        _warm_context(args, args.scale)
     written = export_all(
         args.out,
         args.scale,
@@ -465,7 +429,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
     )
     for p in written:
         print(f"wrote {p}")
-    SharedContext.close_all()  # release persistent pools / shm before exit
+    SharedContext.close_all()  # release worker pools / shm before exit
     return 0
 
 
@@ -684,7 +648,7 @@ def main(argv: list[str] | None = None) -> int:
         help="coalesce up to N consecutive arrival/retirement ticks into "
         "one solve (fresh start; restore keeps the checkpoint's setting)",
     )
-    _add_engine_options(p_srv, backend_default=None)
+    _add_backend_option(p_srv, default=None)
     p_srv.add_argument(
         "--metrics",
         action="store_true",

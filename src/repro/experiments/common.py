@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from .. import telemetry as tm
-from ..bgp.parallel import ParallelRoutingEngine
+from ..bgp.parallel import ParallelRoutingEngine, resolve_workers
 from ..bgp.propagation import RoutingCache
 from ..errors import ConfigError
 from ..mifo.deflection import MifoPathBuilder
@@ -104,16 +104,15 @@ class SharedContext:
     plus the routing backend — not just ``(name, seed)``, which silently
     aliased two scales sharing a name but differing in ``n_ases``.
 
-    ``workers`` and ``persistent`` select how the context's
-    :class:`~repro.bgp.parallel.ParallelRoutingEngine` parallelizes when
-    an experiment bulk-fills the routing cache (see :meth:`precompute`);
-    they deliberately do not participate in the memo key because they
-    change wall-clock, never results.  A persistent engine owns a worker
-    pool and a shared-memory CSR export — the context closes the old
-    engine whenever it swaps in a new one, and :meth:`close` /
-    :meth:`close_all` release everything explicitly (engines also release
-    on garbage collection, so leaked contexts cannot leak ``/dev/shm``
-    segments).
+    ``workers`` sets how many processes the context's
+    :class:`~repro.bgp.parallel.ParallelRoutingEngine` uses when an
+    experiment bulk-fills the routing cache (see :meth:`precompute`); it
+    deliberately does not participate in the memo key because it changes
+    wall-clock, never results.  A multi-worker engine owns a worker pool
+    and a shared-memory CSR export — the context closes the old engine
+    whenever it swaps in a new one, and :meth:`close` / :meth:`close_all`
+    release everything explicitly (engines also release on garbage
+    collection, so leaked contexts cannot leak ``/dev/shm`` segments).
     """
 
     _cache: dict[tuple[ExperimentScale, str], "SharedContext"] = {}
@@ -124,17 +123,14 @@ class SharedContext:
         *,
         backend: str = "dict",
         workers: int | None = 1,
-        persistent: bool = False,
     ) -> None:
         self.scale = scale
         self.backend = backend
-        self.workers = workers
-        self.persistent = persistent
         with tm.span("topology.build"):
             self.graph: ASGraph = generate_topology(scale.topology_config())
         self.routing = RoutingCache(self.graph, backend=backend)
         self.engine = ParallelRoutingEngine(
-            self.graph, n_workers=workers, backend=backend, persistent=persistent
+            self.graph, n_workers=workers, backend=backend
         )
 
     @classmethod
@@ -144,35 +140,24 @@ class SharedContext:
         *,
         backend: str = "dict",
         workers: int | None = 1,
-        persistent: bool | None = None,
     ) -> "SharedContext":
         """The memoized context for ``scale`` (built on first use).
 
-        ``persistent=None`` (the default) keeps whatever pool mode the
-        memoized context already runs — experiment modules pass only
-        ``workers``, so a CLI- or benchmark-selected persistent engine
-        survives the experiment's own ``get`` call.
+        ``workers=None`` means one per CPU, as everywhere else.
         """
         sc = get_scale(scale)
+        n_workers = resolve_workers(workers)
         key = (sc, backend)
         ctx = cls._cache.get(key)
         if ctx is None:
-            ctx = cls(sc, backend=backend, workers=workers, persistent=bool(persistent))
+            ctx = cls(sc, backend=backend, workers=n_workers)
             cls._cache[key] = ctx
-        elif (workers is not None and workers != ctx.workers) or (
-            persistent is not None and persistent != ctx.persistent
-        ):
-            # same topology/cache, new parallelism knobs: swap the engine,
+        elif n_workers != ctx.engine.n_workers:
+            # same topology/cache, new worker count: swap the engine,
             # releasing the old one's pool/segment (if any) first.
-            ctx.workers = workers if workers is not None else ctx.workers
-            if persistent is not None:
-                ctx.persistent = persistent
             ctx.engine.close()
             ctx.engine = ParallelRoutingEngine(
-                ctx.graph,
-                n_workers=ctx.workers,
-                backend=backend,
-                persistent=ctx.persistent,
+                ctx.graph, n_workers=n_workers, backend=backend
             )
         return ctx
 
@@ -185,7 +170,7 @@ class SharedContext:
         """Release engine resources of every memoized context.
 
         The memo itself survives (topology + routing cache stay warm);
-        persistent engines transparently re-create their pool on next use.
+        engines transparently re-create their pool on next use.
         """
         for ctx in cls._cache.values():
             ctx.close()
@@ -220,9 +205,8 @@ def provenance_meta(ctx: SharedContext) -> dict[str, Any]:
     """Standard provenance entries for an experiment's ``meta``.
 
     Records what the run *actually used*, not what was requested: the
-    parallel routing engine silently degrades to serial when the backend
-    cannot fork-share its state (the ``dict`` backend) or the platform
-    lacks ``fork``, so ``workers`` here is
+    parallel routing engine is always serial for the ``dict`` oracle
+    backend, so ``workers`` here is
     :attr:`~repro.bgp.parallel.ParallelRoutingEngine.effective_workers`,
     which may be 1 even though ``run(..., workers=8)`` was asked for.
     All keys live in :data:`~repro.experiments.result.PROVENANCE_KEYS`

@@ -6,7 +6,7 @@ Every experiment module exposes one entry point with one signature::
 
 ``backend`` selects the routing implementation (``dict`` oracle or the
 vectorized ``array`` backend) and ``workers`` how many processes the
-parallel routing engine may fork; both flow through
+parallel routing engine may start; both flow through
 :class:`~repro.experiments.common.SharedContext` so results are
 backend-independent by construction (the cross-validation suite enforces
 it).

@@ -45,7 +45,6 @@ from ..topology.asgraph import ASGraph
 from ..topology.relationships import Relationship, export_allowed
 
 if TYPE_CHECKING:  # pragma: no cover - types only
-    from ..bgp.parallel import ParallelRoutingEngine
     from ..bgp.propagation import RibEntry
 
 __all__ = ["IncrementalRouting"]
@@ -94,8 +93,6 @@ class IncrementalRouting:
         #: cumulative advance() bookkeeping, surfaced in run provenance.
         self.dests_recomputed = 0
         self.dests_rebased = 0
-        self._engine: "ParallelRoutingEngine | None" = None  # mifocheck: derivable: runtime worker-pool resource, re-attached after restore
-        self._shard_min = 16  # mifocheck: derivable: dispatch knob, re-supplied with the engine
 
     # ------------------------------------------------------------------
     # RoutingSource surface
@@ -115,29 +112,6 @@ class IncrementalRouting:
             view = self._compute(dest)
             self._views[dest] = view
         return view
-
-    def attach_engine(
-        self, engine: "ParallelRoutingEngine | None", *, shard_min: int = 16
-    ) -> None:
-        """Attach (or with ``None`` detach) a parallel routing engine.
-
-        With an engine attached and the ``array`` backend active,
-        :meth:`advance` dispatches dirty sets of at least ``shard_min``
-        destinations as dense-index shards over the engine's worker pool
-        instead of re-converging them serially.  Worker telemetry
-        snapshots are absorbed in submission order, so the ``bgp.*``
-        accounting is identical to the serial path's; results are
-        byte-identical by the cross-backend contract.  The serial loop
-        remains the fallback for small dirty sets, the ``dict`` oracle,
-        and pool failures (the engine degrades internally).
-
-        The engine's lifetime belongs to the caller — this class never
-        closes it.
-        """
-        if shard_min < 1:
-            raise ConfigError(f"shard_min must be >= 1, got {shard_min}")
-        self._engine = engine
-        self._shard_min = shard_min
 
     def cached_destinations(self) -> tuple[int, ...]:
         """Destinations currently converged, ascending (verifier scope)."""
@@ -212,27 +186,9 @@ class IncrementalRouting:
         self.graph = new_graph
         fresh: dict[int, RoutingView] = {}
         with tm.span("scenario.repropagate"):
-            computed: dict[int, RoutingView] | None = None
-            if (
-                self._engine is not None
-                and self.backend == "array"
-                and self._engine.backend == "array"
-                and self._engine.effective_workers > 1
-                and len(targets) >= self._shard_min
-            ):
-                # Sharded dispatch: re-export the CSR for the new graph
-                # (workers re-attach from the per-task manifest) and
-                # converge the whole dirty set over the pool.  Worker
-                # snapshots absorb in submission order inside
-                # compute_many, so bgp.* counters match the serial loop;
-                # pool trouble degrades to in-process compute there too.
-                self._engine.rebind(new_graph)
-                computed = self._engine.compute_many(sorted(targets))
             for d, view in old_views.items():
                 if d in targets:
-                    fresh[d] = (
-                        computed[d] if computed is not None else self._compute(d)
-                    )
+                    fresh[d] = self._compute(d)
                 else:
                     fresh[d] = view.rebind(new_graph)
         self._views = fresh

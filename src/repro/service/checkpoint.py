@@ -54,12 +54,11 @@ CHECKPOINT_FORMAT = "mifo-service-checkpoint"
 #: version 2 added the engine's ``rtt`` section (per-flow RTT detector
 #: windows + monitor counters); version 3 added the session's
 #: ``pending`` section (buffered batch ticks, so a kill landing
-#: mid-batch restores and replays byte-identically).  Version-1
-#: documents (no measurement state, implying the oracle detector) and
-#: version-2 documents (no pending buffer, implying ``batch_max=1``
-#: behavior or an empty buffer) still restore.
+#: mid-batch restores and replays byte-identically).  Only the current
+#: version restores: no external producer of older documents exists, so
+#: there is one reader, not one per version.
 CHECKPOINT_VERSION = 3
-_READABLE_VERSIONS = (1, 2, 3)
+_READABLE_VERSIONS = (CHECKPOINT_VERSION,)
 
 
 def capture(session: Any) -> dict[str, Any]:
@@ -307,7 +306,7 @@ def _restore_engine(
     # the uninterrupted pool would, keeping ``flowsim.cols_reused`` in
     # lockstep.
     pool.seed_free_segments(
-        {int(n): int(c) for n, c in es.get("free_segments", {}).items()}
+        {int(n): int(c) for n, c in es["free_segments"].items()}
     )
     pc = counters["pool"]
     pool.pool_hits = int(pc["pool_hits"])
@@ -322,10 +321,10 @@ def _restore_engine(
     eng.records.clear()
     for row in es["records"]:
         eng.records.append(EventRecord(**row))
-    # 7. Measurement state: detector windows verbatim (a v1 checkpoint
-    # has no "rtt" key; a config with detector="oracle" has no monitor —
-    # both sides must agree via the round-tripped config).
-    rtt = es.get("rtt")
+    # 7. Measurement state: detector windows verbatim (null when the
+    # config has detector="oracle", which has no monitor — both sides
+    # must agree via the round-tripped config).
+    rtt = es["rtt"]
     mon = eng._rtt
     if rtt is not None and mon is not None:
         mon._rtt_samples_total = int(rtt["samples_total"])
@@ -362,10 +361,8 @@ def _restore_session_state(session: Any, ss: dict[str, Any]) -> None:
             raise ConfigError(f"unknown fed event kind {kind!r} in checkpoint")
         fed.append((float(dt), event_cls(**fields)))
     session._fed = fed
-    # Pre-v3 documents have no pending buffer (every tick was applied
-    # immediately), so restore to an empty one.
     pending: list[ServiceTick] = []
-    for retire, kind, fields in ss.get("pending", []):
+    for retire, kind, fields in ss["pending"]:
         event: StreamEvent | None = None
         if kind is not None:
             event_cls = STREAM_EVENT_TYPES.get(kind)

@@ -29,11 +29,8 @@ verify-cadence tick) — never of observation points — so checkpoints
 taken mid-batch serialize the pending ticks verbatim and restore
 replays byte-identically.  See ``docs/scaling.md`` for the semantics.
 
-**Parallel re-convergence**: :meth:`attach_routing_engine` wires a
-:class:`~repro.bgp.parallel.ParallelRoutingEngine` into the flap hot
-path — dirty destination sets re-converge sharded over the worker pool
-instead of serially.  Call :meth:`close` (or use the session as a
-context manager) to release the pool and its shared-memory segment.
+Flap-driven dirty sets re-converge in-process: the session holds no
+worker pool or shared memory, so there is nothing to close.
 
 Memory stays bounded no matter how long the stream runs: retired flows
 leave the population and the solver, per-event records live in a ring
@@ -58,7 +55,6 @@ from .config import ServiceConfig
 from .stream import BatchTick, EventStream, FlowArrival, ServiceTick, StreamEvent
 
 if TYPE_CHECKING:  # pragma: no cover - types only
-    from ..bgp.parallel import ParallelRoutingEngine
     from ..experiments.result import ExperimentResult
 
 __all__ = ["DrainReport", "ServiceSession"]
@@ -131,7 +127,6 @@ class ServiceSession:
         self._tick = 0
         self.arrivals_total = 0
         self.retired_total = 0
-        self._routing_engine: "ParallelRoutingEngine | None" = None  # mifocheck: derivable: runtime worker-pool resource, re-attached via attach_routing_engine
         if bootstrap:
             # Epoch 0: the engine's initial-routing pass over the (empty)
             # base population.  A restored session skips this — its epoch
@@ -270,46 +265,6 @@ class ServiceSession:
         )
 
     # ------------------------------------------------------------------
-    # parallel re-convergence + lifecycle
-    # ------------------------------------------------------------------
-    def attach_routing_engine(
-        self, engine: "ParallelRoutingEngine | None", *, shard_min: int = 16
-    ) -> None:
-        """Wire a :class:`~repro.bgp.parallel.ParallelRoutingEngine` into
-        the flap hot path (or detach with ``None``).
-
-        Dirty destination sets of at least ``shard_min`` entries then
-        re-converge sharded over the pool instead of serially (array
-        backend only; the serial path remains the fallback ladder).  The
-        session owns the engine from here: :meth:`close` releases it.
-        """
-        self._routing_engine = engine
-        self.engine.routing.attach_engine(engine, shard_min=shard_min)
-
-    @property
-    def routing_engine(self) -> "ParallelRoutingEngine | None":
-        """The attached parallel routing engine, if any."""
-        return self._routing_engine
-
-    def close(self) -> None:
-        """Release the attached routing engine's pool and shared memory.
-
-        Idempotent; a no-op for sessions that never attached one.  The
-        session itself stays usable (flap re-convergence falls back to
-        the serial path).
-        """
-        engine, self._routing_engine = self._routing_engine, None
-        if engine is not None:
-            self.engine.routing.attach_engine(None)
-            engine.close()
-
-    def __enter__(self) -> "ServiceSession":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
-
-    # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
     @property
@@ -379,11 +334,7 @@ class ServiceSession:
         last = records[-1] if records else None
         meta: dict[str, Any] = {
             "backend": self.engine.routing.backend,
-            "workers": (
-                self._routing_engine.effective_workers
-                if self._routing_engine is not None
-                else 1
-            ),
+            "workers": 1,
             "routing_cache": {
                 "cached_destinations": len(
                     self.engine.routing.cached_destinations()

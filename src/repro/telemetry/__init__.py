@@ -10,7 +10,7 @@ package makes them first-class:
 * **Phase timers** — nested wall-clock spans (``topology.build`` →
   ``bgp.propagate`` → ``mifo.deflect`` → ``flowsim.solve`` →
   ``metrics.compute``) that aggregate across
-  :class:`~repro.bgp.parallel.ParallelRoutingEngine` fork workers via the
+  :class:`~repro.bgp.parallel.ParallelRoutingEngine` pool workers via the
   mergeable :class:`TelemetrySnapshot` protocol;
 * **Structured event trace** — a bounded ring buffer of deflection /
   Tag-Check / path-switch events, exportable as JSONL

@@ -47,8 +47,9 @@ class CsrAdjacency:
     style scatter reductions.
 
     Built once per frozen graph (see :meth:`ASGraph.csr`) and shared
-    read-only by every destination computation and, via ``fork``, by every
-    worker process of the parallel routing engine.
+    read-only by every destination computation and, through the
+    shared-memory export of :mod:`repro.bgp.shm`, by every worker process
+    of the parallel routing engine.
     """
 
     asns: np.ndarray  #: int64[n] dense index -> AS number (ascending)
@@ -253,9 +254,9 @@ class ASGraph:
         """The compact CSR adjacency of this graph (frozen graphs only).
 
         Built lazily on first use and cached; the arrays are shared
-        read-only by the array routing backend and — copy-on-write across
-        ``fork`` — by every parallel-engine worker, so paper-scale graphs
-        pay the construction cost exactly once per process tree.
+        read-only by the array routing backend and — exported once into
+        shared memory — by every parallel-engine worker, so paper-scale
+        graphs pay the construction cost exactly once per process tree.
         """
         if not self._frozen:
             raise TopologyError("freeze() the graph before building CSR arrays")

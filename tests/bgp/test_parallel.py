@@ -7,7 +7,7 @@ serial fallback.
 
 import pytest
 
-from repro.bgp.parallel import ParallelRoutingEngine, fork_available, resolve_workers
+from repro.bgp.parallel import ParallelRoutingEngine, resolve_workers
 from repro.bgp.propagation import RoutingCache
 from repro.errors import ConfigError, TopologyError
 from repro.topology.asgraph import ASGraph
@@ -37,9 +37,8 @@ class TestFallbacks:
         serial = ParallelRoutingEngine(graph, n_workers=1)
         assert serial.effective_workers == 1
         expected = _snapshot(serial.compute_many(DESTS), graph)
-        if fork_available():
-            parallel = ParallelRoutingEngine(graph, n_workers=2)
-            assert _snapshot(parallel.compute_many(DESTS), graph) == expected
+        with ParallelRoutingEngine(graph, n_workers=2) as pooled:
+            assert _snapshot(pooled.compute_many(DESTS), graph) == expected
 
     def test_dict_backend_is_always_serial(self, graph):
         engine = ParallelRoutingEngine(graph, n_workers=4, backend="dict")
@@ -78,30 +77,26 @@ class TestErrors:
         with pytest.raises(ConfigError):
             ParallelRoutingEngine(graph, n_workers=0)
         with pytest.raises(ConfigError):
-            ParallelRoutingEngine(graph, chunk_size=0)
-        with pytest.raises(ConfigError):
             resolve_workers(-3)
 
 
 class TestDeterminism:
-    @pytest.mark.skipif(not fork_available(), reason="needs the fork start method")
+    # 30 destinations at ~4 chunks per worker: 2 workers cut chunks of 4,
+    # 3 workers chunks of 3, so the two cases shard differently.
     @pytest.mark.parametrize("workers", [2, 3])
-    @pytest.mark.parametrize("chunk_size", [None, 1, 7])
-    def test_identical_across_worker_counts(self, graph, workers, chunk_size):
+    def test_identical_across_worker_counts(self, graph, workers):
         baseline = _snapshot(
             ParallelRoutingEngine(graph, n_workers=1).compute_many(DESTS), graph
         )
-        engine = ParallelRoutingEngine(
-            graph, n_workers=workers, chunk_size=chunk_size
-        )
-        assert _snapshot(engine.compute_many(DESTS), graph) == baseline
+        with ParallelRoutingEngine(graph, n_workers=workers) as engine:
+            assert _snapshot(engine.compute_many(DESTS), graph) == baseline
 
 
 class TestCacheIntegration:
     def test_precompute_through_engine(self, graph):
         cache = RoutingCache(graph, backend="array")
-        engine = ParallelRoutingEngine(graph, n_workers=2)
-        n = cache.precompute(DESTS[:10], engine=engine)
+        with ParallelRoutingEngine(graph, n_workers=2) as engine:
+            n = cache.precompute(DESTS[:10], engine=engine)
         assert n == 10
         assert len(cache) == 10
         # precomputation is capacity planning: no demand counters touched

@@ -6,9 +6,9 @@ Three fixes, each with the failure mode it guards against:
    reachable node whose next-hop slot held the ``-1`` sentinel would
    silently index ``asns[-1]`` (numpy wraparound) and return the *last*
    ASN as a next hop — a wrong answer instead of an error.
-2. ``ParallelRoutingEngine.compute_many`` had no fallback when ``fork``
-   exists but pool creation fails (fd/process limits, sandboxes): the
-   whole run died on an ``OSError`` that only affects wall-clock.
+2. ``ParallelRoutingEngine.compute_many`` had no fallback when pool
+   creation fails (fd/process limits, sandboxes): the whole run died on
+   an ``OSError`` that only affects wall-clock.
 3. ``RoutingCache.precompute`` silently accepted an engine whose backend
    differed from the cache's, mixing dict and array substrates in one
    cache.
@@ -81,22 +81,13 @@ class TestCorruptedStateGuards:
         assert rebuilt.rib(probe) == routing.rib(probe)
 
 
-class _BrokenContext:
-    """A multiprocessing context whose pool creation always fails."""
+def _broken_executor(exc: Exception):
+    """A ``ProcessPoolExecutor`` stand-in whose creation always fails."""
 
-    def Pool(self, *args, **kwargs):  # noqa: N802 - multiprocessing API
-        raise OSError("Resource temporarily unavailable")
+    def create(*args, **kwargs):
+        raise exc
 
-
-class _BrokenMultiprocessing:
-    @staticmethod
-    def get_all_start_methods():
-        return ["fork"]  # claim fork support so the parallel path is taken
-
-    @staticmethod
-    def get_context(method):
-        assert method == "fork"
-        return _BrokenContext()
+    return create
 
 
 class TestPoolFailureFallback:
@@ -110,26 +101,26 @@ class TestPoolFailureFallback:
             .compute_many(dests)
             .items()
         }
-        monkeypatch.setattr(parallel_mod, "multiprocessing", _BrokenMultiprocessing())
-        engine = ParallelRoutingEngine(graph, n_workers=4)
-        assert engine.effective_workers == 4  # parallel path *is* attempted
-        result = engine.compute_many(dests)
+        monkeypatch.setattr(
+            parallel_mod,
+            "ProcessPoolExecutor",
+            _broken_executor(OSError("Resource temporarily unavailable")),
+        )
+        with ParallelRoutingEngine(graph, n_workers=4) as engine:
+            assert engine.effective_workers == 4  # pooled path *is* attempted
+            result = engine.compute_many(dests)
+            assert not engine.pool_live
         assert {d: r.best_path(140) for d, r in result.items()} == expected
 
     def test_non_oserror_still_propagates(self, graph, monkeypatch):
-        class _Exploding(_BrokenContext):
-            def Pool(self, *args, **kwargs):  # noqa: N802
-                raise ValueError("not a resource problem")
-
-        class _Mp(_BrokenMultiprocessing):
-            @staticmethod
-            def get_context(method):
-                return _Exploding()
-
-        monkeypatch.setattr(parallel_mod, "multiprocessing", _Mp())
-        engine = ParallelRoutingEngine(graph, n_workers=4)
-        with pytest.raises(ValueError, match="not a resource problem"):
-            engine.compute_many(list(range(8)))
+        monkeypatch.setattr(
+            parallel_mod,
+            "ProcessPoolExecutor",
+            _broken_executor(ValueError("not a resource problem")),
+        )
+        with ParallelRoutingEngine(graph, n_workers=4) as engine:
+            with pytest.raises(ValueError, match="not a resource problem"):
+                engine.compute_many(list(range(8)))
 
 
 class TestPrecomputeBackendMismatch:

@@ -1,7 +1,7 @@
-"""Lifecycle of the shared-memory CSR export and the persistent pool.
+"""Lifecycle of the shared-memory CSR export and the standing worker pool.
 
-Three fronts, matching the guarantees :mod:`repro.bgp.shm` and
-``ParallelRoutingEngine(persistent=True)`` document:
+Four fronts, matching the guarantees :mod:`repro.bgp.shm` and a
+multi-worker ``ParallelRoutingEngine`` document:
 
 * **segment lifecycle** — create → attach (same process and in a child)
   → close unlinks exactly once, on explicit close *and* on garbage
@@ -11,7 +11,9 @@ Three fronts, matching the guarantees :mod:`repro.bgp.shm` and
 * **crash resilience** — a SIGKILLed worker degrades the call to serial
   (correct results, fallback on the telemetry record), the broken pool is
   discarded, the next call rebuilds it, and close still leaves no
-  segment behind.
+  segment behind;
+* **spawn** — on a platform without ``fork`` the same pool runs over
+  spawned workers, with the same bytes and the same merged counters.
 """
 
 import gc
@@ -23,6 +25,7 @@ import numpy as np
 import pytest
 
 from repro import telemetry as tm
+from repro.bgp import parallel
 from repro.bgp.parallel import ParallelRoutingEngine
 from repro.bgp.shm import CsrSegment, attach_csr
 from repro.errors import TopologyError
@@ -135,16 +138,16 @@ class TestPersistentDeterminism:
         serial = _digest(
             ParallelRoutingEngine(graph, n_workers=1).compute_many(DESTS)
         )
-        with ParallelRoutingEngine(graph, n_workers=2, persistent=True) as engine:
+        with ParallelRoutingEngine(graph, n_workers=2) as engine:
             first = _digest(engine.compute_many(DESTS))
             assert engine.pool_live
             second = _digest(engine.compute_many(DESTS))
-        with ParallelRoutingEngine(graph, n_workers=2, persistent=True) as fresh:
+        with ParallelRoutingEngine(graph, n_workers=2) as fresh:
             third = _digest(fresh.compute_many(DESTS))
         assert first == second == third == serial
 
     def test_pool_and_segment_reused_across_calls(self, graph):
-        with ParallelRoutingEngine(graph, n_workers=2, persistent=True) as engine:
+        with ParallelRoutingEngine(graph, n_workers=2) as engine:
             assert not engine.pool_live and engine.segment_name is None
             with tm.telemetry_session(True) as session:
                 engine.compute_many(DESTS[:8])
@@ -158,7 +161,7 @@ class TestPersistentDeterminism:
         assert not _segment_exists(name)
 
     def test_close_then_reuse_recreates(self, graph):
-        engine = ParallelRoutingEngine(graph, n_workers=2, persistent=True)
+        engine = ParallelRoutingEngine(graph, n_workers=2)
         engine.compute_many(DESTS[:4])
         first_name = engine.segment_name
         engine.close()
@@ -172,7 +175,7 @@ class TestPersistentDeterminism:
         engine.close()
 
     def test_unknown_destination_raises(self, graph):
-        with ParallelRoutingEngine(graph, n_workers=2, persistent=True) as engine:
+        with ParallelRoutingEngine(graph, n_workers=2) as engine:
             with pytest.raises(TopologyError, match="999999"):
                 engine.compute_many([0, 999_999])
 
@@ -182,7 +185,7 @@ class TestCrashRecovery:
         serial = _digest(
             ParallelRoutingEngine(graph, n_workers=1).compute_many(DESTS)
         )
-        with ParallelRoutingEngine(graph, n_workers=2, persistent=True) as engine:
+        with ParallelRoutingEngine(graph, n_workers=2) as engine:
             engine.compute_many(DESTS[:4])  # spin the pool up
             pool = engine._resources.pool
             assert pool is not None
@@ -206,4 +209,28 @@ class TestCrashRecovery:
             assert rebuilt == serial
             assert engine.pool_live
             name = engine.segment_name
+        assert name is not None and not _segment_exists(name)
+
+
+class TestSpawnStartMethod:
+    def test_spawn_pool_equals_serial(self, graph, monkeypatch):
+        with tm.telemetry_session(True) as session:
+            serial = _digest(
+                ParallelRoutingEngine(graph, n_workers=1).compute_many(DESTS)
+            )
+            serial_counters = session.delta().counters
+        monkeypatch.setattr(parallel, "fork_available", lambda: False)
+        with ParallelRoutingEngine(graph, n_workers=2) as engine:
+            with tm.telemetry_session(True) as session:
+                spawned = _digest(engine.compute_many(DESTS))
+                delta = session.delta()
+            pool = engine._resources.pool
+            assert pool is not None
+            assert pool._mp_context.get_start_method() == "spawn"
+            name = engine.segment_name
+        assert spawned == serial
+        assert delta.gauges["parallel.workers_used"] == 2.0
+        assert delta.counters.get("parallel.pool_fallbacks", 0) == 0
+        for key in ("bgp.destinations_converged", "bgp.routes_propagated"):
+            assert delta.counters[key] == serial_counters[key]
         assert name is not None and not _segment_exists(name)

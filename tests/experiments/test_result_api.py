@@ -102,3 +102,12 @@ class TestSharedContextKeying:
         b = SharedContext.get("test", workers=2)
         assert a is b
         assert b.engine.n_workers == 2
+
+    def test_workers_none_swaps_to_one_per_cpu(self, monkeypatch):
+        """Regression: ``workers=None`` on an already-memoized context was
+        read as "keep the current count" instead of one per CPU."""
+        monkeypatch.setattr("os.cpu_count", lambda: 3)
+        a = SharedContext.get("test", workers=1)
+        b = SharedContext.get("test", workers=None)
+        assert a is b
+        assert b.engine.n_workers == 3

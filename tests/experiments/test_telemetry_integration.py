@@ -11,7 +11,6 @@ byte-identical to a run with telemetry off.
 import pytest
 
 from repro import telemetry as tm
-from repro.bgp.parallel import fork_available
 from repro.experiments import fig7, fig8, fig9
 from repro.experiments.common import SharedContext
 from repro.experiments.result import PROVENANCE_KEYS
@@ -61,7 +60,6 @@ def test_disabled_run_attaches_nothing():
     assert "telemetry" not in result.meta
 
 
-@pytest.mark.skipif(not fork_available(), reason="needs fork start method")
 def test_phases_merge_across_workers():
     t = Telemetry()
     result = fig8.run("test", backend="array", workers=2, telemetry=t)
@@ -77,8 +75,6 @@ def test_phases_merge_across_workers():
 
 @pytest.mark.parametrize("backend,workers", [("dict", 1), ("array", 2)])
 def test_telemetry_does_not_perturb_results(backend, workers):
-    if workers > 1 and not fork_available():
-        pytest.skip("needs fork start method")
     SharedContext._cache.clear()
     plain = fig7.run("test", backend=backend, workers=workers)
     SharedContext._cache.clear()

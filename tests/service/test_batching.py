@@ -139,16 +139,15 @@ class TestMidBatchKillAndRestore:
 
 
 class TestPreV3Documents:
-    def test_v2_document_without_pending_restores(self):
+    def test_v2_document_rejected(self):
         s = ServiceSession(_cfg(), topology=TOPO)
         s.drain(10)
         state = json.loads(s.checkpoint_json())
         assert state["session"]["pending"] == []  # batch_max=1 never buffers
         state["version"] = 2
         del state["session"]["pending"]
-        restored = ServiceSession.restore(state)
-        assert restored._pending == []
-        restored.drain(5)  # and it keeps running
+        with pytest.raises(ConfigError, match="unsupported checkpoint version 2"):
+            ServiceSession.restore(state)
 
     def test_unknown_pending_kind_rejected(self):
         s = ServiceSession(_cfg(batch_max=4), topology=TOPO)

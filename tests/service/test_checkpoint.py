@@ -213,12 +213,12 @@ class TestDetectorState:
         s.drain(12)
         jsonschema.validate(json.loads(s.checkpoint_json()), schema)
 
-    def test_version_one_document_without_rtt_still_restores(self, reference):
+    def test_version_one_document_rejected(self, reference):
         state = json.loads(json.dumps(reference["checkpoints"][5]))
         state["version"] = 1
         del state["engine"]["rtt"]
-        restored = ServiceSession.restore(state)
-        assert restored.events_processed == 5
+        with pytest.raises(ConfigError, match="unsupported checkpoint version 1"):
+            ServiceSession.restore(state)
 
 
 class TestTelemetryPolicy:

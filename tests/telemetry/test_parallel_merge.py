@@ -1,6 +1,6 @@
 """Telemetry under the parallel routing engine.
 
-Two guarantees: fork workers' counters land in the parent registry, and
+Two guarantees: pool workers' counters land in the parent registry, and
 the degraded paths (serial, pool-creation failure) report what actually
 happened — one worker, a fallback on the record — not what was asked.
 """
@@ -9,7 +9,8 @@ import pytest
 
 from repro import telemetry as tm
 from repro.bgp import parallel
-from repro.bgp.parallel import ParallelRoutingEngine, fork_available
+from repro.bgp.parallel import ParallelRoutingEngine
+from repro.bgp.shm import CsrSegment, attach_csr
 from repro.telemetry import Telemetry
 from repro.topology.generator import TopologyConfig, generate_topology
 
@@ -21,6 +22,16 @@ def graph():
     return generate_topology(TopologyConfig(n_ases=150, seed=9))
 
 
+@pytest.fixture
+def worker_csr(graph, monkeypatch):
+    """Play the pool initializer in-process: the shared CSR attached and
+    installed in the worker slot ``_compute_shard`` reads."""
+    with CsrSegment.create(graph.csr()) as segment:
+        with attach_csr(segment.manifest) as attached:
+            monkeypatch.setattr(parallel, "_WORKER_CSR", attached)
+            yield attached.csr
+
+
 def test_serial_path_reports_one_worker(graph):
     t = Telemetry()
     tm.activate(t)
@@ -29,12 +40,11 @@ def test_serial_path_reports_one_worker(graph):
     assert t.counters["bgp.destinations_converged"] == len(DESTS)
 
 
-@pytest.mark.skipif(not fork_available(), reason="needs fork start method")
 def test_worker_counters_merge_into_parent(graph):
     t = Telemetry()
     tm.activate(t)
-    engine = ParallelRoutingEngine(graph, n_workers=2)
-    result = engine.compute_many(DESTS)
+    with ParallelRoutingEngine(graph, n_workers=2) as engine:
+        result = engine.compute_many(DESTS)
     assert sorted(result) == DESTS
     # Each destination converged exactly once, in some worker; the
     # merged total must equal the serial total regardless of scheduling.
@@ -46,7 +56,6 @@ def test_worker_counters_merge_into_parent(graph):
     assert t.counters["parallel.chunks"] >= 2
 
 
-@pytest.mark.skipif(not fork_available(), reason="needs fork start method")
 def test_parallel_counters_equal_serial_counters(graph):
     t1 = Telemetry()
     tm.activate(t1)
@@ -55,7 +64,8 @@ def test_parallel_counters_equal_serial_counters(graph):
 
     t2 = Telemetry()
     tm.activate(t2)
-    ParallelRoutingEngine(graph, n_workers=2).compute_many(DESTS)
+    with ParallelRoutingEngine(graph, n_workers=2) as engine:
+        engine.compute_many(DESTS)
     par = t2.snapshot()
 
     for key in ("bgp.destinations_converged", "bgp.routes_propagated"):
@@ -63,13 +73,10 @@ def test_parallel_counters_equal_serial_counters(graph):
 
 
 def test_pool_failure_reports_fallback(graph, monkeypatch):
-    if not fork_available():
-        pytest.skip("needs fork start method")
-
-    def boom(self, unique, workers):
+    def boom(self):
         raise OSError("Resource temporarily unavailable")
 
-    monkeypatch.setattr(ParallelRoutingEngine, "_compute_parallel", boom)
+    monkeypatch.setattr(ParallelRoutingEngine, "_ensure_pool", boom)
     t = Telemetry()
     tm.activate(t)
     engine = ParallelRoutingEngine(graph, n_workers=4)
@@ -80,19 +87,19 @@ def test_pool_failure_reports_fallback(graph, monkeypatch):
     assert t.counters["bgp.destinations_converged"] == len(DESTS)
 
 
-def test_disabled_telemetry_ships_no_snapshots(graph, monkeypatch):
+def test_disabled_telemetry_ships_no_snapshots(worker_csr):
     assert tm.active() is None
-    monkeypatch.setattr(parallel, "_WORKER_GRAPH", graph)
-    chunk_states, snap = parallel._compute_chunk(DESTS[:2])
+    shard = tuple(worker_csr.index[d] for d in DESTS[:2])
+    chunk_states, snap = parallel._compute_shard((shard, None))
     assert snap is None
-    assert [d for d, _ in chunk_states] == DESTS[:2]
+    assert [idx for idx, _ in chunk_states] == list(shard)
 
 
-def test_enabled_telemetry_ships_chunk_snapshot(graph, monkeypatch):
-    monkeypatch.setattr(parallel, "_WORKER_GRAPH", graph)
+def test_enabled_telemetry_ships_chunk_snapshot(worker_csr):
     t = Telemetry()
     tm.activate(t)
-    chunk_states, snap = parallel._compute_chunk(DESTS[:3])
+    shard = tuple(worker_csr.index[d] for d in DESTS[:3])
+    chunk_states, snap = parallel._compute_shard((shard, t.trace_capacity))
     # The chunk recorded into its own registry, not the inherited one...
     assert tm.active() is t
     assert t.counters == {}

@@ -180,62 +180,20 @@ class TestSimulateCommand:
 
 
 class TestServeCommand:
-    @pytest.fixture(autouse=True)
-    def no_shm_leak(self):
-        """serve must release its pool + shared memory on every exit path."""
-        import gc
-        import os
-
-        if not os.path.isdir("/dev/shm"):  # pragma: no cover - non-Linux
-            yield
-            return
-        before = set(os.listdir("/dev/shm"))
-        yield
-        gc.collect()
-        leaked = set(os.listdir("/dev/shm")) - before
-        assert not leaked, f"leaked shared-memory segments: {sorted(leaked)}"
-
-    def test_serve_with_workers_and_batching(self, capsys):
-        assert (
-            main(
-                [
-                    "serve",
-                    "--events", "60",
-                    "--n-ases", "80",
-                    "--routing-backend", "array",
-                    "--workers", "2",
-                    "--persistent-pool",
-                    "--batch-max", "8",
-                    "--metrics",
-                ]
-            )
-            == 0
-        )
-        snapshot = json.loads(capsys.readouterr().out)
-        assert snapshot["events"] == 60
-        assert snapshot["pending_batch"] < 8
-        counters = snapshot["telemetry"]["counters"]
-        assert counters["service.batched_events"] > 0
-
-    def test_serve_releases_engine_on_interrupt(self, monkeypatch, capsys):
-        """Ctrl-C mid-drain must not leak the pool's /dev/shm segment."""
-        from repro.service import session as session_mod
-
-        def boom(self, n):
-            raise KeyboardInterrupt
-
-        monkeypatch.setattr(session_mod.ServiceSession, "drain", boom)
-        with pytest.raises(KeyboardInterrupt):
-            main(
-                [
-                    "serve",
-                    "--events", "40",
-                    "--n-ases", "80",
-                    "--routing-backend", "array",
-                    "--workers", "2",
-                    "--persistent-pool",
-                ]
-            )
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "--events", "5", "--workers", "2"],
+            ["serve", "--events", "5", "--persistent-pool"],
+            ["run", "fig9", "--scale", "test", "--persistent-pool"],
+        ],
+        ids=["serve-workers", "serve-persistent-pool", "run-persistent-pool"],
+    )
+    def test_removed_pool_flags_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_serve_checkpoint_roundtrip_with_batching(self, tmp_path, capsys):
         ckpt = tmp_path / "svc.ckpt.json"

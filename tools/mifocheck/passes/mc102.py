@@ -1,32 +1,34 @@
 """MC102 — fork-boundary determinism.
 
-Parallel workers communicate results and telemetry back to the parent
-exclusively through value returns merged in submission order.  Two
-families of checks keep that boundary deterministic:
+Pool workers (forked or spawned — one standing ``ProcessPoolExecutor``
+over the shared-memory CSR) communicate results and telemetry back to
+the parent exclusively through value returns merged in submission
+order.  Two families of checks keep that process boundary deterministic:
 
 **Merge-algebra completeness.**  Every field of the telemetry snapshot
 dataclass must be folded by the merge function (``Telemetry.absorb``)
 or declared implicitly-derived in the module-level
 ``MERGE_DERIVED_FIELDS`` tuple.  A field that is neither is silently
-dropped at the fork boundary — exactly the regression deleting one
+dropped at the process boundary — exactly the regression deleting one
 ``absorb`` entry would introduce.
 
 **Worker-side hygiene**, over every function reachable (via the call
-graph) from a worker entry point — the callables handed to
-``pool.imap``/``pool.map`` *and* any ``initializer=`` callable given to
-a pool constructor (``multiprocessing.Pool`` or
-``ProcessPoolExecutor``), which runs in every worker before its first
-task and is therefore just as worker-side as the task body:
+graph) from a worker entry point — the callable handed to ordered
+dispatch (``pool.map``; ``imap`` is recognized too) *and* any
+``initializer=`` callable given to a pool constructor
+(``ProcessPoolExecutor`` or ``multiprocessing.Pool``), which runs in
+every worker before its first task and is therefore just as worker-side
+as the task body:
 
 * telemetry emissions whose snapshot field is *not* merged (an ``inc``
   is fine because ``counters`` merges; a ``span`` in a worker is a bug
   the moment ``spans`` stops merging);
-* ``global`` statements — parent-side globals do not exist in forked
-  children, so rebinding them there is dead state at best (the
-  telemetry module itself is exempt: its ``activate`` sink swap is the
-  sanctioned mechanism workers use to install a local sink; globals
-  named in ``AnalysisConfig.worker_state_globals`` are likewise exempt,
-  the declared one-way worker-state installs a pool initializer
+* ``global`` statements — a worker's globals are its own copy (forked)
+  or a fresh import (spawned), so rebinding them there is dead state at
+  best (the telemetry module itself is exempt: its ``activate`` sink
+  swap is the sanctioned mechanism workers use to install a local sink;
+  globals named in ``AnalysisConfig.worker_state_globals`` are likewise
+  exempt, the declared one-way worker-state installs a pool initializer
   performs, such as the shared-memory CSR attachment);
 * iteration over set literals / ``set()`` results, whose order can
   differ across processes;
