@@ -6,8 +6,9 @@ docstring.  Two measurements back it:
 
 * the per-call cost of a disabled sink function (``tm.inc`` /
   ``tm.span`` with no active registry) — a global read and a branch;
-* the wall time of the array-backend per-destination convergence, the
-  hot path the instrumentation rides on.
+* the wall time of the array-backend convergence one destination per
+  call — a kernel block of one, where the per-block instrumentation is
+  least diluted — the hot path the instrumentation rides on.
 
 The gate multiplies the measured per-call cost by the number of
 instrumentation sites the hot path executes per destination (audited
@@ -26,11 +27,11 @@ from repro.telemetry import Stopwatch, Telemetry
 
 from .conftest import write_result
 
-#: disabled-sink calls the array hot path executes per destination:
-#: one ``tm.span("bgp.propagate")`` enter+exit pair and two ``tm.inc``
-#: (``bgp.destinations_converged``, ``bgp.routes_propagated``) in
-#: ``ArrayDestinationRouting._ensure_state``.  Kept deliberately
-#: generous (x2 safety factor applied below).
+#: disabled-sink calls ``converge_block`` executes per kernel block (here:
+#: per destination): one ``tm.active()`` read and one
+#: ``tm.span("bgp.propagate")`` enter+exit pair; the counters and the
+#: ``bgp.block_dests`` sample sit behind the ``active()`` result.  Kept
+#: deliberately generous (4, and a x2 safety factor applied below).
 CALLS_PER_DEST = 4
 
 N_DESTS = 30
@@ -130,3 +131,4 @@ def test_enabled_telemetry_records_the_hot_path(graph):
     snap = telem.snapshot()
     assert snap.counters["bgp.destinations_converged"] == 1
     assert snap.spans["bgp.propagate"][1] == 1
+    assert sum(snap.histograms["bgp.block_dests"][1]) == 1

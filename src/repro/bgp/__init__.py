@@ -2,10 +2,12 @@
 
 Three equivalent models, fastest first:
 
-* :func:`~repro.bgp.array_routing.compute_array_routing` — vectorized
-  three-stage computation over the frozen graph's CSR arrays; what the
-  :class:`~repro.bgp.parallel.ParallelRoutingEngine` shards across worker
-  processes;
+* :func:`~repro.bgp.array_routing.converge_block` — the array backend:
+  one numpy kernel over the frozen graph's CSR arrays that settles a
+  block of destinations per pass (a single destination,
+  :func:`~repro.bgp.array_routing.compute_array_routing`, is a block of
+  one); what the :class:`~repro.bgp.parallel.ParallelRoutingEngine`
+  shards across worker processes;
 * :func:`~repro.bgp.propagation.compute_routing` — the original
   dict-based three-stage computation, kept as the array backend's
   cross-validation oracle, exposing default paths *and* the

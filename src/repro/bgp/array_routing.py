@@ -1,161 +1,305 @@
 """Array-backed per-destination routing (the compact twin of
 :mod:`repro.bgp.propagation`).
 
-Same three-stage Gao–Rexford computation, same query API, different
-substrate: instead of per-node dicts this backend runs every stage as
-vectorized numpy passes over the frozen graph's CSR arrays
-(:meth:`repro.topology.asgraph.ASGraph.csr`):
+Same Gao–Rexford fixpoint, same query API, different substrate — and a
+different schedule.  The dict oracle converges one destination with three
+frontier searches; this backend converges a **block** of destinations in
+one pass of numpy calls over the frozen graph's CSR arrays
+(:meth:`repro.topology.asgraph.ASGraph.csr`), so the per-call overhead
+that dominates a single destination is shared by the whole block.
+:func:`converge_block` is the only array implementation: a single
+destination is a block of one.
 
-1. **customer routes** — level-synchronous BFS climbing provider edges,
-   one gather/scatter per BFS level;
-2. **peer routes** — a single ``np.minimum.at`` scatter over all peering
-   edges;
-3. **provider routes** — the unit-weight "Dijkstra" degenerates into a
-   level-by-level relaxation over customer edges seeded with exported
-   best lengths.
+Every destination's state is a row of five ``(B, n)`` arrays, addressed
+through the flat index ``b * n + node``.  One block is settled in two
+steps:
 
-Next hops are recovered with three more scatter-min passes (dense indices
-are assigned in ascending AS-number order, so an index minimum *is* the
-AS-number minimum the dict backend's tie-break takes).
+1. **Push customer and peer routes from the provider cone.**  Only the
+   ASes above a destination (its providers, their providers, ...) hold
+   customer routes, and only their peers hold peer routes — a few hundred
+   of 44,340 ASes.  A level-synchronous climb over provider edges, all
+   destinations of the block at once, assigns customer lengths; one
+   expansion of the cone's peering rows assigns peer lengths.  Next hops
+   ride along: each AS reached takes the minimum dense index among its
+   announcers (dense indices ascend with AS numbers, so that is the
+   lowest-ASN tie-break) — a scatter-min, but over an edge list the size
+   of the cone, not of the graph.
+2. **Pull provider routes down the hierarchy.**  Everything else can only
+   hold a provider route, one hop longer than the best route any of its
+   providers exports.  :class:`~repro.topology.asgraph.PullSchedule` lays
+   the nodes out by longest provider chain, so one ascending sweep over
+   its levels — gather each provider column, ``minimum`` them, remember
+   which column won — settles all ``n`` nodes with elementwise calls
+   only: no frontier, no sort, no scatter.  Routes from step 1 outrank
+   provider routes, so they are re-asserted after each level instead of
+   being tested for.
+
+The sweep works on a scratch table in the schedule's slot order (each
+level a contiguous column range) and un-permutes once at the end.  The
+layout is destination-major because the queries are: a view reads one
+destination's row, never one node's column.
 
 The dict-based :class:`~repro.bgp.propagation.DestinationRouting` stays as
 the cross-validation oracle — ``tests/bgp/test_array_routing.py`` asserts
 both backends produce identical ``best_path``/``rib``/``alternatives``
-output — while this class is what the parallel engine ships across worker
-processes: :meth:`state`/:meth:`from_state` serialize just five small
-int32 arrays, never the graph.
+output at every block size — while :class:`ArrayDestinationRouting` is
+what the parallel engine ships across worker processes:
+:meth:`~ArrayDestinationRouting.state` is just five small arrays, never
+the graph.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterable, Sequence
 
 import numpy as np
 
 from .. import telemetry as tm
 from ..errors import NoRouteError, RoutingError, TopologyError
-from ..topology.asgraph import ASGraph, CsrAdjacency
+from ..topology.asgraph import ASGraph, CsrAdjacency, expand_rows
 from ..topology.relationships import Relationship, export_allowed, invert
 from .propagation import RibEntry
 
 __all__ = [
+    "MAX_BLOCK_DESTS",
     "ArrayDestinationRouting",
+    "block_dests",
     "compute_array_routing",
-    "converge_csr",
-    "state_reachable_count",
+    "compute_array_routings",
+    "converge_block",
 ]
 
 #: best_class codes; 0/1/2 match Relationship values, the rest are local.
 _UNREACHABLE = np.int8(-1)
+_PROVIDER = np.int8(Relationship.PROVIDER)
 _DEST = np.int8(3)
 
 #: next-hop sentinel for "no next hop" (destination / unreachable).
 _NO_HOP = np.int32(-1)
 
+#: dtypes of the five state arrays ``(cust, peer, export, class, next_hop)``.
+_STATE_DTYPES = (np.int32, np.int32, np.int32, np.int8, np.int32)
 
-def _expand_rows(
-    indptr: np.ndarray, indices: np.ndarray, frontier: np.ndarray
-) -> np.ndarray:
-    """Concatenated CSR rows of ``frontier`` without a Python-level loop."""
-    starts = indptr[frontier]
-    lens = indptr[frontier + 1] - starts
-    total = int(lens.sum())
-    if total == 0:
-        return indices[:0]
-    # Classic CSR multi-row gather: repeat each row's (start - preceding
-    # output offset), then add a flat arange to enumerate within rows.
-    offsets = np.repeat(starts - (np.cumsum(lens) - lens), lens) + np.arange(total)
-    return indices[offsets]
+#: Node-rows (destinations x ASes) one kernel pass may hold.  A pass keeps
+#: ~25 bytes per node-row live (the five result rows, the scratch table
+#: and its next hops), so this is a ~4.5 MB working set: four destinations
+#: at the paper's 44,340 ASes, which is what still fits a 4 MB L2 there.
+_BLOCK_CELLS = 180_000
+
+#: Widest block, however small the graph: past this the per-call overhead
+#: a block exists to share is already negligible.
+MAX_BLOCK_DESTS = 32
+
+#: ``bgp.block_dests`` buckets: one per possible block width.
+_BLOCK_BOUNDS = tuple(float(w) for w in range(1, MAX_BLOCK_DESTS + 1))
 
 
-def converge_csr(csr: CsrAdjacency, dest_idx: int) -> tuple[np.ndarray, ...]:
-    """The three-stage Gao–Rexford computation over bare CSR arrays.
+def block_dests(n_nodes: int) -> int:
+    """Destinations the kernel settles in one pass on an ``n_nodes`` graph.
 
-    Returns the five per-node result arrays ``(cust, peer, export, class,
-    next_hop)`` — the exact payload :meth:`ArrayDestinationRouting.state`
-    ships between processes.  Needs only a :class:`CsrAdjacency` (which may
-    be a read-only shared-memory attachment, see :mod:`repro.bgp.shm`) and
-    a **dense** destination index, so pool workers can converge
-    destinations without ever holding an :class:`ASGraph`.
+    Derived, not tunable: callers hand over any number of destinations
+    and the kernel cuts them into consecutive runs of this width, so the
+    cut — and with it every telemetry count — depends on the graph and the
+    destination list alone, never on the caller or the worker count.
     """
-    n = csr.n_nodes
-    inf = np.int32(n + 2)
-    d = dest_idx
+    return max(1, min(MAX_BLOCK_DESTS, _BLOCK_CELLS // max(n_nodes, 1)))
 
-    # Stage 1: customer routes — level-synchronous BFS up provider edges.
-    cust = np.full(n, inf, dtype=np.int32)
-    cust[d] = 0
-    frontier = np.array([d], dtype=np.int32)
-    dist = np.int32(0)
-    while frontier.size:
+
+def _pull_level(
+    table: np.ndarray,
+    hops: np.ndarray,
+    level: tuple[int, int, tuple[tuple[np.ndarray, np.ndarray], ...]],
+    inf: int,
+) -> None:
+    """Settle one schedule level: every node takes its best provider's
+    exported length plus one, and that provider as next hop."""
+    lo, hi, columns = level
+    slots, provs = columns[0]
+    best = np.take(table, slots, axis=1)
+    hop = np.empty(best.shape, dtype=np.int32)
+    hop[:] = provs
+    for slots, provs in columns[1:]:
+        # Only the level's first ``len(slots)`` nodes have this provider.
+        head, head_hop = best[:, : slots.size], hop[:, : slots.size]
+        cand = np.take(table, slots, axis=1)
+        # Strictly shorter only: columns ascend by AS number, so on a tie
+        # the earlier — lower-ASN — provider keeps the next hop.
+        closer = cand < head
+        np.minimum(head, cand, out=head)
+        # head_hop = where(closer, provs, head_hop), without the branch.
+        step = provs - head_hop
+        step *= closer
+        head_hop += step
+    best += 1
+    np.minimum(best, inf, out=best)  # unreachable stays exactly inf
+    table[:, lo:hi] = best
+    hops[:, lo:hi] = hop
+
+
+def _converge_rows(
+    csr: CsrAdjacency,
+    dests: np.ndarray,
+    state: tuple[np.ndarray, ...],
+    table: np.ndarray,
+    hops: np.ndarray,
+) -> None:
+    """Fill ``state`` — ``w`` rows of the five result arrays — for the dense
+    destinations ``dests``.  ``table``/``hops`` are ``(w, n)`` scratch."""
+    cust, peer, export, cls, nh = state
+    schedule = csr.pull_schedule
+    slot_of = schedule.slot_of
+    w, n = cust.shape
+    inf = n + 2
+    cust_f, peer_f, cls_f, nh_f, table_f = (
+        a.reshape(-1) for a in (cust, peer, cls, nh, table)
+    )
+    cust.fill(inf)
+    peer.fill(inf)
+    table.fill(inf)
+
+    # -- push: customer routes climb the provider cone --------------------
+    # ``nh`` is free until the final gather, so it doubles as the table in
+    # which each newly reached AS collects its lowest-ASN announcer (dense
+    # indices ascend with AS numbers, so a minimum over them is BGP's
+    # tie-break).  Every ``ufunc.at`` below runs over a cone-sized array.
+    origin = np.arange(w, dtype=np.int64) * n + dests
+    cust_f[origin] = 0
+    frontier = origin
+    levels = [origin]
+    dist = 0
+    while True:
         dist += 1
-        nbrs = _expand_rows(csr.prov_indptr, csr.prov_indices, frontier)
-        fresh = np.unique(nbrs[cust[nbrs] == inf])
-        cust[fresh] = dist
-        frontier = fresh
+        node = frontier % n
+        provs, lens = expand_rows(csr.prov_indptr, csr.prov_indices, node)
+        target = provs + np.repeat(frontier - node, lens)
+        via = np.repeat(node.astype(np.int32), lens)
+        fresh = cust_f[target] == inf
+        target, via = target[fresh], via[fresh]
+        if not target.size:
+            break
+        nh_f[target] = n
+        np.minimum.at(nh_f, target, via)
+        frontier = target[nh_f[target] == via]  # one survivor per target
+        cust_f[frontier] = dist
+        levels.append(frontier)
+    cone = np.concatenate(levels)
+    cone_node = cone % n
+    cone_row = cone - cone_node
+    cone_len = cust_f[cone]
+    cone_hop = nh_f[cone]
 
-    # Stage 2: peer routes — one scatter-min over every peering edge.
-    peer = np.full(n, inf, dtype=np.int32)
-    if csr.peer_indices.size:
-        np.minimum.at(peer, csr.peer_rows, cust[csr.peer_indices] + 1)
-    peer[peer > inf] = inf  # inf+1 candidates back to inf
-    peer[d] = inf  # the destination never takes a peer route
+    # -- push: the cone's peers learn peer routes --------------------------
+    # Shortest announcement first, then the lowest-ASN announcer of that
+    # length; ``heard`` keeps exactly one (target, length, announcer) per
+    # AS that hears anything.
+    peers, lens = expand_rows(csr.peer_indptr, csr.peer_indices, cone_node)
+    target = peers + np.repeat(cone_row, lens)
+    via = np.repeat(cone_node.astype(np.int32), lens)
+    length = np.repeat(cone_len + 1, lens)
+    np.minimum.at(peer_f, target, length)
+    shortest = peer_f[target] == length
+    target, via, length = target[shortest], via[shortest], length[shortest]
+    nh_f[target] = n
+    np.minimum.at(nh_f, target, via)
+    heard = nh_f[target] == via
+    peer_target, peer_via, peer_len = target[heard], via[heard], length[heard]
+    peer_f[origin] = inf  # the destination never takes a peer route
 
-    # Stage 3: provider routes — unit-weight Dijkstra == level-by-level
-    # relaxation down customer edges, seeded with exported best lengths
-    # (class priority: an AS with a customer/peer route exports that).
-    export = np.where(cust < inf, cust, peer).astype(np.int32)
-    has_cp = export < inf
-    prov_class = np.zeros(n, dtype=bool)
-    max_level = int(export[has_cp].max(initial=0))
-    level = 0
-    while level <= max_level:
-        frontier = np.nonzero(export == level)[0].astype(np.int32)
-        if frontier.size:
-            custs = _expand_rows(csr.cust_indptr, csr.cust_indices, frontier)
-            fresh = np.unique(custs[export[custs] == inf])
-            if fresh.size:
-                export[fresh] = level + 1
-                prov_class[fresh] = True
-                max_level = max(max_level, level + 1)
-        level += 1
+    # -- pull: provider routes, one sweep down the hierarchy ---------------
+    # The table holds exported lengths in slot order; customer routes are
+    # stored after peer routes because they outrank them.
+    peer_node = peer_target % n
+    peer_fixed = peer_target - peer_node + slot_of[peer_node]
+    cone_fixed = cone_row + slot_of[cone_node]
+    table_f[peer_fixed] = peer_len
+    table_f[cone_fixed] = cone_len
+    # A pull overwrites its whole level, so the routes pushed above are
+    # put back after each one: sort them by slot and cut at level starts.
+    fixed = np.concatenate((peer_fixed, cone_fixed))
+    fixed = fixed[np.argsort(fixed % n, kind="stable")]
+    fixed_len = table_f[fixed]
+    cuts = np.searchsorted(fixed % n, schedule.level_starts)
+    mine = [slice(a, b) for a, b in zip(cuts[:-1], cuts[1:])]
+    for level, put_back in zip(schedule.levels, mine):
+        _pull_level(table, hops, level, inf)
+        table_f[fixed[put_back]] = fixed_len[put_back]
+    if schedule.cyclic:
+        # A provider cycle's closure (the last level) has no sweep order;
+        # repeat it until nothing moves — lengths only ever shrink.
+        level, put_back = schedule.levels[-1], mine[-1]
+        lo, hi, _ = level
+        while True:
+            before = table[:, lo:hi].copy()
+            _pull_level(table, hops, level, inf)
+            table_f[fixed[put_back]] = fixed_len[put_back]
+            if np.array_equal(before, table[:, lo:hi]):
+                break
+    np.take(table, slot_of, axis=1, out=export, mode="clip")
+    np.take(hops, slot_of, axis=1, out=nh, mode="clip")
 
-    # Best class per node.
-    cls = np.full(n, _UNREACHABLE, dtype=np.int8)
-    cls[prov_class] = int(Relationship.PROVIDER)
-    cls[peer < inf] = int(Relationship.PEER)
-    cls[cust < inf] = int(Relationship.CUSTOMER)
-    cls[d] = _DEST
-
-    # Default next hops: scatter-min of the qualifying neighbor per
-    # class (index order == AS-number order, so min index == min ASN).
-    nh = np.full(n, np.int32(n), dtype=np.int32)
-    if csr.cust_indices.size:
-        rows, cols = csr.cust_rows, csr.cust_indices
-        mask = (cls[rows] == int(Relationship.CUSTOMER)) & (
-            cust[cols] == cust[rows] - 1
-        )
-        np.minimum.at(nh, rows[mask], cols[mask])
-    if csr.peer_indices.size:
-        rows, cols = csr.peer_rows, csr.peer_indices
-        mask = (cls[rows] == int(Relationship.PEER)) & (
-            cust[cols] == peer[rows] - 1
-        )
-        np.minimum.at(nh, rows[mask], cols[mask])
-    if csr.prov_indices.size:
-        rows, cols = csr.prov_rows, csr.prov_indices
-        mask = (cls[rows] == int(Relationship.PROVIDER)) & (
-            export[cols] == export[rows] - 1
-        )
-        np.minimum.at(nh, rows[mask], cols[mask])
-    nh[nh == n] = _NO_HOP
-    nh[d] = _NO_HOP
-
-    return (cust, peer, export, cls, nh)
+    # -- classes and next hops ---------------------------------------------
+    # Branch-free: whatever is reachable and was not pushed is a provider
+    # route; unreachable next hops (garbage from the sweep) become -1.
+    reach = export < inf
+    np.multiply(reach.view(np.int8), _PROVIDER - _UNREACHABLE, out=cls)
+    cls += _UNREACHABLE
+    lost = reach.astype(np.int32)
+    lost -= 1
+    nh |= lost
+    cls_f[peer_target] = int(Relationship.PEER)
+    nh_f[peer_target] = peer_via
+    cls_f[cone] = int(Relationship.CUSTOMER)
+    nh_f[cone] = cone_hop
+    cls_f[origin] = _DEST
+    nh_f[origin] = _NO_HOP
 
 
-def state_reachable_count(state: tuple[np.ndarray, ...]) -> int:
-    """Reachable-AS count of a raw state tuple (telemetry accounting for
-    workers that converge without constructing the result object)."""
-    return int((state[3] != _UNREACHABLE).sum())
+def converge_block(
+    csr: CsrAdjacency, dest_idxs: Sequence[int] | np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """Converge a block of destinations over bare CSR arrays.
+
+    ``dest_idxs`` are **dense** destination indices (``B`` of them, any
+    ``B``); returns the five ``(B, n)`` result arrays ``(cust, peer,
+    export, class, next_hop)`` whose rows are the payload
+    :meth:`ArrayDestinationRouting.state` ships between processes.  Needs
+    only a :class:`CsrAdjacency` (which may be a read-only shared-memory
+    attachment, see :mod:`repro.bgp.shm`), so pool workers converge
+    destinations without ever holding an :class:`ASGraph`.
+
+    Indices must be unique and in ``[0, n)`` — a negative one would wrap
+    to a real AS and return a plausible table for the wrong destination.
+
+    This is where propagation telemetry is defined, once, for every
+    caller: per run of :func:`block_dests` destinations one
+    ``bgp.propagate`` span and one ``bgp.block_dests`` sample, with
+    ``bgp.destinations_converged`` / ``bgp.routes_propagated`` advanced
+    by the run's exact totals.
+    """
+    idxs = np.asarray(dest_idxs, dtype=np.int64).reshape(-1)
+    n = csr.n_nodes
+    if idxs.size and (idxs.min() < 0 or idxs.max() >= n):
+        bad = idxs[(idxs < 0) | (idxs >= n)][0]
+        raise TopologyError(f"dense destination index {bad} outside [0, {n})")
+    if np.unique(idxs).size != idxs.size:
+        raise TopologyError("duplicate destination index in one block")
+    state = tuple(np.empty((idxs.size, n), dtype=t) for t in _STATE_DTYPES)
+    width = block_dests(n)
+    table = np.empty((min(idxs.size, width), n), dtype=np.int32)
+    hops = np.empty_like(table)
+    telemetry = tm.active()
+    for lo in range(0, idxs.size, width):
+        run = idxs[lo : lo + width]
+        rows = tuple(a[lo : lo + run.size] for a in state)
+        with tm.span("bgp.propagate"):
+            _converge_rows(csr, run, rows, table[: run.size], hops[: run.size])
+        if telemetry is not None:
+            telemetry.inc("bgp.destinations_converged", run.size)
+            telemetry.inc(
+                "bgp.routes_propagated", int(np.count_nonzero(rows[3] != _UNREACHABLE))
+            )
+            telemetry.observe("bgp.block_dests", run.size, bounds=_BLOCK_BOUNDS)
+    return state
 
 
 class ArrayDestinationRouting:
@@ -174,42 +318,23 @@ class ArrayDestinationRouting:
         "_export",
         "_class",
         "_nh",
-        "_inf",
         "_path_cache",
         "_rib_cache",
     )
 
     def __init__(
-        self,
-        graph: ASGraph,
-        dest: int,
-        *,
-        _state: tuple[np.ndarray, ...] | None = None,
+        self, graph: ASGraph, dest: int, state: tuple[np.ndarray, ...]
     ) -> None:
+        """Wrap converged ``state`` (one row of :func:`converge_block`'s
+        five arrays); use :func:`compute_array_routing` to converge."""
         if dest not in graph:
             raise TopologyError(f"destination AS {dest} not in graph")
         self.graph = graph
         self.csr = graph.csr()
         self.dest = dest
         self._dest_idx = self.csr.index[dest]
-        self._inf = np.int32(self.csr.n_nodes + 2)
         self._path_cache: dict[int, tuple[int, ...]] = {}
         self._rib_cache: dict[int, tuple[RibEntry, ...]] = {}
-        if _state is not None:
-            # Re-wrapping a worker's shipped state is not a convergence;
-            # the worker already counted it (snapshot protocol).
-            self._cust, self._peer, self._export, self._class, self._nh = _state
-        else:
-            with tm.span("bgp.propagate"):
-                self._compute()
-            tm.inc("bgp.destinations_converged")
-            tm.inc("bgp.routes_propagated", self.reachable_count())
-
-    # ------------------------------------------------------------------
-    # the three-stage computation, vectorized
-    # ------------------------------------------------------------------
-    def _compute(self) -> None:
-        state = converge_csr(self.csr, int(self._dest_idx))
         self._cust, self._peer, self._export, self._class, self._nh = state
 
     # ------------------------------------------------------------------
@@ -224,7 +349,19 @@ class ArrayDestinationRouting:
         cls, graph: ASGraph, dest: int, state: tuple[np.ndarray, ...]
     ) -> "ArrayDestinationRouting":
         """Rebuild a result object around a parent-process graph."""
-        return cls(graph, dest, _state=state)
+        return cls(graph, dest, state)
+
+    @classmethod
+    def from_block(
+        cls, graph: ASGraph, dest: int, block: tuple[np.ndarray, ...], row: int
+    ) -> "ArrayDestinationRouting":
+        """The view of row ``row`` of :func:`converge_block`'s output.
+
+        The view owns *copies* of its five rows: one that outlives its
+        siblings (an LRU cache, a dirty-set re-convergence) must not pin
+        the whole block.
+        """
+        return cls(graph, dest, tuple(a[row].copy() for a in block))
 
     def rebind(self, graph: ASGraph) -> "ArrayDestinationRouting":
         """Re-wrap this converged state around a different graph object.
@@ -239,7 +376,7 @@ class ArrayDestinationRouting:
         identical.  Only sound when the topology delta is inert for this
         destination.
         """
-        clone = ArrayDestinationRouting(graph, self.dest, _state=self.state())
+        clone = ArrayDestinationRouting(graph, self.dest, self.state())
         clone._path_cache = self._path_cache
         clone._rib_cache = self._rib_cache
         return clone
@@ -371,11 +508,33 @@ class ArrayDestinationRouting:
         return int((self._class != _UNREACHABLE).sum())
 
 
-def compute_array_routing(graph: ASGraph, dest: int) -> ArrayDestinationRouting:
-    """Compute converged BGP state for one destination on the array backend.
+def compute_array_routings(
+    graph: ASGraph, dests: Iterable[int]
+) -> dict[int, ArrayDestinationRouting]:
+    """Converge ``dests`` (duplicates collapse) on the array backend, in
+    blocks; returns ``{dest: routing}`` in first-seen order.
 
-    ``graph`` must be frozen; results are undefined if it mutates afterward.
+    One kernel call per block, so only one block of kernel output is ever
+    alive beside the views.  ``graph`` must be frozen; results are
+    undefined if it mutates afterward.
     """
     if not graph.frozen:
         raise TopologyError("freeze() the graph before computing routing")
-    return ArrayDestinationRouting(graph, dest)
+    csr = graph.csr()
+    unique = list(dict.fromkeys(dests))
+    try:
+        idxs = [csr.index[d] for d in unique]
+    except KeyError as exc:
+        raise TopologyError(f"destination AS {exc.args[0]} not in graph") from None
+    out: dict[int, ArrayDestinationRouting] = {}
+    width = block_dests(csr.n_nodes)
+    for lo in range(0, len(unique), width):
+        block = converge_block(csr, idxs[lo : lo + width])
+        for row, dest in enumerate(unique[lo : lo + width]):
+            out[dest] = ArrayDestinationRouting.from_block(graph, dest, block, row)
+    return out
+
+
+def compute_array_routing(graph: ASGraph, dest: int) -> ArrayDestinationRouting:
+    """Converged BGP state for one destination: a block of one."""
+    return compute_array_routings(graph, (dest,))[dest]

@@ -15,11 +15,15 @@ worker crashes by falling back to in-process compute and rebuilding the
 pool on the next call, and releases the pool and segment on
 :meth:`~ParallelRoutingEngine.close` / garbage collection.
 
-Workers ship back only each destination's five result arrays (a few KB at
-bench scale), which the parent re-wraps around its own graph via
-:meth:`~repro.bgp.array_routing.ArrayDestinationRouting.from_state`, and
-worker telemetry flows through child-local snapshots absorbed in
-submission order — deterministic totals for any worker count.
+A task is a run of whole kernel blocks
+(:func:`~repro.bgp.array_routing.block_dests` destinations each), handed
+to :func:`~repro.bgp.array_routing.converge_block` in one call; the worker
+ships back the block's five ``(B, n)`` result arrays, whose rows the
+parent copies into views around its own graph.  Because tasks cut the
+destination list only at block boundaries, the blocks — and so every
+``bgp.*`` counter, span count and histogram the kernel records — are the
+same for any worker count; worker telemetry flows through child-local
+snapshots absorbed in submission order.
 
 Degradation is graceful and explicit:
 
@@ -51,12 +55,8 @@ from .. import telemetry as tm
 from ..errors import ConfigError, TopologyError
 from ..telemetry import Telemetry, TelemetrySnapshot
 from ..topology.asgraph import ASGraph
-from .array_routing import (
-    ArrayDestinationRouting,
-    converge_csr,
-    state_reachable_count,
-)
-from .propagation import DestinationRouting, RoutingView
+from .array_routing import ArrayDestinationRouting, block_dests, converge_block
+from .propagation import RoutingView, compute_routings
 from .shm import AttachedCsr, CsrSegment, SegmentManifest, attach_csr
 
 __all__ = ["ParallelRoutingEngine", "fork_available", "resolve_workers"]
@@ -98,38 +98,31 @@ def _attach_worker(manifest: SegmentManifest) -> None:
 
 def _compute_shard(
     task: tuple[tuple[int, ...], int | None],
-) -> tuple[list[tuple[int, tuple[np.ndarray, ...]]], TelemetrySnapshot | None]:
-    """Pool worker body: converge a shard of dense indices.
+) -> tuple[tuple[np.ndarray, ...], TelemetrySnapshot | None]:
+    """Pool worker body: converge a shard of dense indices as one kernel
+    call; returns its five ``(len(shard), n)`` result arrays.
 
     ``task`` is ``(dest_indices, trace_capacity)`` — indices are dense CSR
     rows (the parent owns the ASN mapping), and ``trace_capacity`` is
     ``None`` when the parent has no telemetry active at submission time.
     A forked worker inherits the parent's registry copy-on-write —
     recording into it would be invisible to the parent — so with telemetry
-    on, each destination is converged under a ``bgp.propagate`` span with
-    the same counters the serial path records, into a child-local registry
-    whose snapshot ships back for in-order absorption.
+    on, the kernel records into a child-local registry whose snapshot
+    ships back for in-order absorption.
     """
     attached = _WORKER_CSR
     assert attached is not None, "pool task ran before _attach_worker"
-    csr = attached.csr
     shard, trace_capacity = task
     if trace_capacity is None:
-        return [(idx, converge_csr(csr, idx)) for idx in shard], None
+        return converge_block(attached.csr, shard), None
     previous = tm.active()
     local = Telemetry(trace_capacity=trace_capacity)
     tm.activate(local)
     try:
-        states: list[tuple[int, tuple[np.ndarray, ...]]] = []
-        for idx in shard:
-            with tm.span("bgp.propagate"):
-                state = converge_csr(csr, idx)
-            tm.inc("bgp.destinations_converged")
-            tm.inc("bgp.routes_propagated", state_reachable_count(state))
-            states.append((idx, state))
+        state = converge_block(attached.csr, shard)
     finally:
         tm.activate(previous)
-    return states, local.snapshot()
+    return state, local.snapshot()
 
 
 class _PoolResources:
@@ -239,9 +232,7 @@ class ParallelRoutingEngine:
 
     def compute(self, dest: int) -> RoutingView:
         """One destination, always in-process."""
-        if self.backend == "dict":
-            return DestinationRouting(self.graph, dest)
-        return ArrayDestinationRouting(self.graph, dest)
+        return compute_routings(self.graph, (dest,), self.backend)[dest]
 
     def compute_many(self, dests: Iterable[int]) -> dict[int, RoutingView]:
         """Converge every destination; returns ``{dest: routing}``.
@@ -256,7 +247,7 @@ class ParallelRoutingEngine:
         workers = min(self.effective_workers, len(unique))
         if workers <= 1:
             tm.set_gauge("parallel.workers_used", 1)
-            return {d: self.compute(d) for d in unique}
+            return compute_routings(self.graph, unique, self.backend)
         try:
             return self._compute_pooled(unique, workers)
         except (OSError, BrokenProcessPool):
@@ -270,13 +261,17 @@ class ParallelRoutingEngine:
             self._resources.discard_pool()
             tm.inc("parallel.pool_fallbacks")
             tm.set_gauge("parallel.workers_used", 1)
-            return {d: self.compute(d) for d in unique}
+            return compute_routings(self.graph, unique, self.backend)
 
     # ------------------------------------------------------------------
     @staticmethod
-    def _chunks(idxs: Sequence[int], workers: int) -> list[tuple[int, ...]]:
-        """Split an index list into per-task chunks (~4 per worker)."""
-        chunk = max(1, -(-len(idxs) // (workers * 4)))
+    def _chunks(
+        idxs: Sequence[int], workers: int, block: int
+    ) -> list[tuple[int, ...]]:
+        """Split an index list into per-task chunks (~4 per worker) of
+        whole kernel blocks, so chunking never moves a block boundary."""
+        blocks = -(-len(idxs) // block)
+        chunk = max(1, -(-blocks // (workers * 4))) * block
         return [tuple(idxs[i : i + chunk]) for i in range(0, len(idxs), chunk)]
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
@@ -314,15 +309,16 @@ class ParallelRoutingEngine:
         pool = self._ensure_pool()
         telemetry = tm.active()
         trace_capacity = None if telemetry is None else telemetry.trace_capacity
-        tasks = [(chunk, trace_capacity) for chunk in self._chunks(idxs, workers)]
+        chunks = self._chunks(idxs, workers, block_dests(csr.n_nodes))
+        tasks = [(chunk, trace_capacity) for chunk in chunks]
         asns = csr.asns
         out: dict[int, RoutingView] = {}
         # Executor.map yields in submission order, so snapshots absorb
         # (and trace events interleave) identically for any worker count.
-        for part, snap in pool.map(_compute_shard, tasks):
-            for idx, state in part:
+        for chunk, (state, snap) in zip(chunks, pool.map(_compute_shard, tasks)):
+            for row, idx in enumerate(chunk):
                 dest = int(asns[idx])
-                out[dest] = ArrayDestinationRouting.from_state(graph, dest, state)
+                out[dest] = ArrayDestinationRouting.from_block(graph, dest, state, row)
             if telemetry is not None and snap is not None:
                 telemetry.absorb(snap)
         if telemetry is not None:

@@ -47,6 +47,7 @@ __all__ = [
     "RoutingSource",
     "DestinationRouting",
     "compute_routing",
+    "compute_routings",
     "RoutingCache",
     "CacheStats",
 ]
@@ -357,6 +358,23 @@ def compute_routing(graph: ASGraph, dest: int) -> DestinationRouting:
     return DestinationRouting(graph, dest)
 
 
+def compute_routings(
+    graph: ASGraph, dests: Iterable[int], backend: str
+) -> dict[int, RoutingView]:
+    """Converge every destination of ``dests`` in-process on ``backend``;
+    returns ``{dest: routing}`` in first-seen order.
+
+    The one place that knows how each backend takes a destination *set*:
+    the dict oracle one at a time, the array backend as blocks
+    (:func:`~repro.bgp.array_routing.compute_array_routings`).
+    """
+    if backend == "array":
+        from .array_routing import compute_array_routings
+
+        return dict(compute_array_routings(graph, dests))
+    return {d: compute_routing(graph, d) for d in dict.fromkeys(dests)}
+
+
 @dataclasses.dataclass(frozen=True)
 class CacheStats:
     """Hit/miss/eviction counters of a :class:`RoutingCache`."""
@@ -408,13 +426,6 @@ class RoutingCache:
         self._misses = 0
         self._evictions = 0
 
-    def _compute(self, dest: int) -> RoutingView:
-        if self.backend == "array":
-            from .array_routing import compute_array_routing
-
-            return compute_array_routing(self.graph, dest)
-        return compute_routing(self.graph, dest)
-
     def _insert(self, dest: int, routing: RoutingView) -> None:
         if self.max_entries is not None and len(self._cache) >= self.max_entries:
             self._cache.pop(next(iter(self._cache)))
@@ -433,7 +444,7 @@ class RoutingCache:
             return r
         self._misses += 1
         tm.inc("cache.misses")
-        r = self._compute(dest)
+        r = compute_routings(self.graph, (dest,), self.backend)[dest]
         self._insert(dest, r)
         return r
 
@@ -465,11 +476,11 @@ class RoutingCache:
         if not todo:
             return 0
         if engine is not None:
-            for dest, routing in engine.compute_many(todo).items():
-                self._insert(dest, routing)
+            computed = engine.compute_many(todo)
         else:
-            for dest in todo:
-                self._insert(dest, self._compute(dest))
+            computed = compute_routings(self.graph, todo, self.backend)
+        for dest, routing in computed.items():
+            self._insert(dest, routing)
         return len(todo)
 
     def cached_destinations(self) -> tuple[int, ...]:

@@ -3,7 +3,7 @@
 Copy-on-write memory would share the CSR arrays with pool workers for
 free, but only with children forked *after* the arrays exist, and never
 across a ``spawn`` boundary.  This module makes the sharing explicit and
-start-method-independent: the thirteen arrays of a
+start-method-independent: the ten arrays of a
 :class:`~repro.topology.asgraph.CsrAdjacency` are copied once into a single
 :class:`multiprocessing.shared_memory.SharedMemory` segment, and any
 process — forked or spawned, now or later — attaches zero-copy given only
@@ -19,7 +19,8 @@ Two typed handles enforce the lifecycle:
 * :class:`AttachedCsr` — the **worker** side.  :func:`attach_csr` maps the
   segment and rebuilds a genuine read-only :class:`CsrAdjacency` whose
   arrays are views into the shared buffer (the ``index`` dict, the one
-  non-array field, is rebuilt from ``asns`` in O(n) — paid once per worker
+  non-array field, and the provider-hierarchy ``pull_schedule`` the block
+  kernel sweeps are rebuilt from the arrays — paid once per worker
   lifetime, not per task).  ``detach()`` only closes the local mapping;
   workers can never unlink.
 
@@ -57,10 +58,11 @@ __all__ = [
     "attach_csr",
 ]
 
-#: CsrAdjacency fields shipped through the segment, in manifest order.
-#: ``index`` is the single non-array field; attach rebuilds it from asns.
+#: CsrAdjacency fields shipped through the segment, in manifest order:
+#: its arrays.  The rest (``index``, the pull schedule) is derived from
+#: them and rebuilt at attach.
 _ARRAY_FIELDS: tuple[str, ...] = tuple(
-    f.name for f in dataclasses.fields(CsrAdjacency) if f.name != "index"
+    f.name for f in dataclasses.fields(CsrAdjacency) if f.type == "np.ndarray"
 )
 
 #: Per-array alignment inside the segment.  64 bytes keeps every array on
@@ -254,4 +256,5 @@ def attach_csr(manifest: SegmentManifest) -> AttachedCsr:
         arrays[spec.field] = view
     index = {int(a): i for i, a in enumerate(arrays["asns"])}
     csr = CsrAdjacency(index=index, **arrays)
+    _ = csr.pull_schedule  # derived like the index: build now, not in the first task
     return AttachedCsr(shm, csr)

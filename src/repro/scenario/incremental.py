@@ -39,7 +39,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from .. import telemetry as tm
-from ..bgp.propagation import RoutingView, compute_routing
+from ..bgp.propagation import RoutingView, compute_routings
 from ..errors import ConfigError, TopologyError, VerificationError
 from ..topology.asgraph import ASGraph
 from ..topology.relationships import Relationship, export_allowed
@@ -97,19 +97,12 @@ class IncrementalRouting:
     # ------------------------------------------------------------------
     # RoutingSource surface
     # ------------------------------------------------------------------
-    def _compute(self, dest: int) -> RoutingView:
-        if self.backend == "array":
-            from ..bgp.array_routing import compute_array_routing
-
-            return compute_array_routing(self.graph, dest)
-        return compute_routing(self.graph, dest)
-
     def __call__(self, dest: int) -> RoutingView:
         """The (possibly cached) converged view for ``dest`` on the
         current graph; first use converges it."""
         view = self._views.get(dest)
         if view is None:
-            view = self._compute(dest)
+            view = compute_routings(self.graph, (dest,), self.backend)[dest]
             self._views[dest] = view
         return view
 
@@ -184,14 +177,16 @@ class IncrementalRouting:
         targets = set(self._views) if self.recompute == "all" else set(dirty)
         old_views = self._views
         self.graph = new_graph
-        fresh: dict[int, RoutingView] = {}
         with tm.span("scenario.repropagate"):
-            for d, view in old_views.items():
-                if d in targets:
-                    fresh[d] = self._compute(d)
-                else:
-                    fresh[d] = view.rebind(new_graph)
-        self._views = fresh
+            # The whole dirty set converges as one destination list (the
+            # array backend cuts it into kernel blocks).
+            fresh = compute_routings(
+                new_graph, [d for d in old_views if d in targets], self.backend
+            )
+            self._views = {
+                d: fresh[d] if d in targets else view.rebind(new_graph)
+                for d, view in old_views.items()
+            }
         n_recomputed = len(targets)
         n_rebased = len(old_views) - n_recomputed
         self.dests_recomputed += n_recomputed
@@ -232,10 +227,11 @@ class IncrementalRouting:
         job, not for production timelines.
         """
         nodes = sorted(self.graph.nodes())
-        for d in self.cached_destinations():
-            live = self._views[d]
-            fresh = self._compute(d)
-            live_fp = self._fingerprint(live, nodes)
+        recomputed = compute_routings(
+            self.graph, self.cached_destinations(), self.backend
+        )
+        for d, fresh in recomputed.items():
+            live_fp = self._fingerprint(self._views[d], nodes)
             fresh_fp = self._fingerprint(fresh, nodes)
             if live_fp == fresh_fp:
                 continue

@@ -8,8 +8,19 @@ close, equal.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.bgp.array_routing import ArrayDestinationRouting, compute_array_routing
+from repro.bgp import parallel
+from repro.bgp.array_routing import (
+    MAX_BLOCK_DESTS,
+    ArrayDestinationRouting,
+    block_dests,
+    compute_array_routing,
+    compute_array_routings,
+    converge_block,
+)
+from repro.bgp.parallel import ParallelRoutingEngine
 from repro.bgp.propagation import compute_routing
 from repro.errors import NoRouteError, TopologyError
 from repro.topology.asgraph import ASGraph
@@ -30,26 +41,28 @@ def _destinations(graph):
     return nodes[:5] + nodes[len(nodes) // 2 : len(nodes) // 2 + 5] + nodes[-5:]
 
 
+def _assert_matches_oracle(graph, array):
+    """Every query, for every node, equals the dict oracle's answer."""
+    oracle = compute_routing(graph, array.dest)
+    assert array.reachable_count() == oracle.reachable_count()
+    for x in graph.nodes():
+        assert array.has_route(x) == oracle.has_route(x)
+        if not oracle.has_route(x):
+            continue
+        assert array.best_class(x) == oracle.best_class(x)
+        assert array.best_len(x) == oracle.best_len(x)
+        assert array.next_hop(x) == oracle.next_hop(x)
+        assert array.best_path(x) == oracle.best_path(x)
+        assert array.rib(x) == oracle.rib(x)
+        assert array.rib(x, loop_filter=False) == oracle.rib(x, loop_filter=False)
+        assert array.alternatives(x) == oracle.alternatives(x)
+
+
 class TestCrossValidation:
     def test_identical_output_on_seeded_topologies(self, graph_pair):
         graph = graph_pair
         for dest in _destinations(graph):
-            array = compute_array_routing(graph, dest)
-            oracle = compute_routing(graph, dest)
-            assert array.reachable_count() == oracle.reachable_count()
-            for x in graph.nodes():
-                assert array.has_route(x) == oracle.has_route(x)
-                if not oracle.has_route(x):
-                    continue
-                assert array.best_class(x) == oracle.best_class(x)
-                assert array.best_len(x) == oracle.best_len(x)
-                assert array.next_hop(x) == oracle.next_hop(x)
-                assert array.best_path(x) == oracle.best_path(x)
-                assert array.rib(x) == oracle.rib(x)
-                assert array.rib(x, loop_filter=False) == oracle.rib(
-                    x, loop_filter=False
-                )
-                assert array.alternatives(x) == oracle.alternatives(x)
+            _assert_matches_oracle(graph, compute_array_routing(graph, dest))
 
     def test_entries_are_plain_python_ints(self, graph_pair):
         """Byte-identical includes types: no numpy scalars may leak out."""
@@ -119,3 +132,157 @@ class TestEdgeCases:
             if original.has_route(x):
                 assert rebuilt.best_path(x) == original.best_path(x)
                 assert rebuilt.rib(x) == original.rib(x)
+
+
+# ---------------------------------------------------------------------------
+# the block kernel against the dict oracle, on whatever hypothesis draws
+# ---------------------------------------------------------------------------
+@st.composite
+def hierarchies(draw, cyclic: bool = False) -> ASGraph:
+    """Small AS graphs the seeded generator never produces.
+
+    AS numbers are sparse and providers are drawn along a random order
+    that ignores them, so the lowest-ASN tie-break is not the first-added
+    or first-visited neighbor; a node may get no provider at all (several
+    tier-1s, isolated ASes); a third of the graphs have no peering.
+    ``cyclic`` first closes a provider cycle through the leading ASes of
+    that order (frozen with ``require_acyclic_hierarchy=False``).
+    """
+    min_size = 2 if cyclic else 1
+    asns = draw(st.lists(st.integers(1, 60), min_size=min_size, max_size=11, unique=True))
+    order = draw(st.permutations(asns))
+    g = ASGraph()
+    for a in asns:
+        g.add_as(a)
+    if cyclic:
+        ring = order[: draw(st.integers(min(3, len(order)), min(4, len(order))))]
+        for p, c in zip(ring, ring[1:] + ring[:1]):
+            if not g.are_adjacent(p, c):  # two ASes cannot form a ring
+                g.add_p2c(p, c)
+    for i, node in enumerate(order[1:], start=1):
+        above = st.lists(st.sampled_from(order[:i]), max_size=3, unique=True)
+        for p in draw(above):
+            if not g.are_adjacent(p, node):
+                g.add_p2c(p, node)
+    pair = st.tuples(st.sampled_from(asns), st.sampled_from(asns))
+    for _ in range(draw(st.sampled_from([0, len(asns) // 2, len(asns)]))):
+        a, b = draw(pair)
+        if a != b and not g.are_adjacent(a, b):
+            g.add_peering(a, b)
+    return g.freeze(require_acyclic_hierarchy=not cyclic)
+
+
+def _views_in_blocks(graph, size):
+    """Every AS as a destination, handed to the kernel ``size`` at a time."""
+    csr = graph.csr()
+    idxs = list(range(csr.n_nodes))
+    for lo in range(0, len(idxs), size or len(idxs)):
+        chunk = idxs[lo : lo + (size or len(idxs))]
+        state = converge_block(csr, chunk)
+        for row, idx in enumerate(chunk):
+            yield ArrayDestinationRouting.from_state(
+                graph, int(csr.asns[idx]), tuple(a[row] for a in state)
+            )
+
+
+class TestBlockKernelProperties:
+    @given(hierarchies(), st.sampled_from([1, 2, 7, None]))
+    @settings(max_examples=120, deadline=None)
+    def test_every_destination_matches_the_oracle(self, g, size):
+        for view in _views_in_blocks(g, size):
+            _assert_matches_oracle(g, view)
+
+    @given(hierarchies(cyclic=True), st.sampled_from([1, 2, 7, None]))
+    @settings(max_examples=120, deadline=None)
+    def test_cyclic_hierarchies_match_the_oracle(self, g, size):
+        for view in _views_in_blocks(g, size):
+            _assert_matches_oracle(g, view)
+
+    def test_equal_length_providers_break_ties_by_lowest_asn(self):
+        # Stub 9 is multi-homed to 7, 5 and 6 (added in that order), all
+        # customers of tier-1 2.  Toward 2's other customer 4 the three
+        # providers export equal lengths, so the lowest ASN wins; toward
+        # 5's own customer 8 provider 5 is simply shorter.
+        g = ASGraph.from_links(
+            p2c=[(2, 7), (2, 5), (2, 6), (2, 4), (7, 9), (5, 9), (6, 9), (5, 8)]
+        )
+        views = compute_array_routings(g, [4, 8])
+        assert views[4].next_hop(9) == 5
+        assert views[4].best_path(9) == (9, 5, 2, 4)
+        assert views[8].next_hop(9) == 5
+        assert views[8].best_len(9) == 2
+        for view in views.values():
+            _assert_matches_oracle(g, view)
+
+    def test_isolated_stub_and_tier1_destinations(self):
+        g = ASGraph()
+        for provider, customer in [(1, 3), (2, 3), (1, 4)]:
+            g.add_p2c(provider, customer)
+        g.add_peering(1, 2)
+        g.add_as(50)  # isolated
+        g.freeze()
+        views = compute_array_routings(g, [50, 3, 1])
+        assert views[50].reachable_count() == 1
+        assert [views[3].has_route(x) for x in (1, 2, 4, 50)] == [True, True, True, False]
+        for view in views.values():
+            _assert_matches_oracle(g, view)
+
+    def test_empty_block(self):
+        g = ASGraph.from_links(p2c=[(1, 0)])
+        state = converge_block(g.csr(), [])
+        assert [a.shape for a in state] == [(0, 2)] * 5
+        assert compute_array_routings(g, []) == {}
+
+
+class TestPartitionInvariance:
+    """The same bytes however the destination list reaches the kernel."""
+
+    N_ASES = 150
+    WIDTH = block_dests(N_ASES)
+    DESTS = list(range(3, 3 + 2 * WIDTH + 5))  # two full kernel blocks and a tail
+
+    @staticmethod
+    def _bytes(views):
+        return {d: b"".join(a.tobytes() for a in v.state()) for d, v in views.items()}
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return generate_topology(TopologyConfig(n_ases=self.N_ASES, seed=9))
+
+    @pytest.fixture(scope="class")
+    def one_call(self, graph):
+        return self._bytes(compute_array_routings(graph, self.DESTS))
+
+    def test_block_width_follows_graph_size(self):
+        assert block_dests(44_340) == 4  # the paper tier: ~4.5 MB per pass
+        assert block_dests(10**9) == 1
+        assert block_dests(1) == block_dests(0) == MAX_BLOCK_DESTS
+        assert 1 < self.WIDTH <= MAX_BLOCK_DESTS
+
+    def test_one_kernel_call(self, graph, one_call):
+        """The kernel cutting the list itself (three passes)."""
+        csr = graph.csr()
+        state = converge_block(csr, [csr.index[d] for d in self.DESTS])
+        rows = {
+            d: b"".join(a[row].tobytes() for a in state)
+            for row, d in enumerate(self.DESTS)
+        }
+        assert rows == one_call
+
+    @pytest.mark.parametrize("cuts", [(1,), (3, 11), (WIDTH, 2 * WIDTH)])
+    def test_split_calls(self, graph, one_call, cuts):
+        split = {}
+        for lo, hi in zip((0, *cuts), (*cuts, len(self.DESTS))):
+            split.update(self._bytes(compute_array_routings(graph, self.DESTS[lo:hi])))
+        assert split == one_call
+
+    @pytest.mark.parametrize("fork", [True, False], ids=["fork", "spawn"])
+    def test_two_workers(self, graph, one_call, fork, monkeypatch):
+        if fork and not parallel.fork_available():
+            pytest.skip("platform cannot fork")
+        monkeypatch.setattr(parallel, "fork_available", lambda: fork)
+        with ParallelRoutingEngine(graph, n_workers=2) as engine:
+            pooled = self._bytes(engine.compute_many(self.DESTS))
+            assert engine.pool_live
+        assert pooled == one_call
+        assert list(pooled) == self.DESTS

@@ -12,16 +12,24 @@ Three fixes, each with the failure mode it guards against:
 3. ``RoutingCache.precompute`` silently accepted an engine whose backend
    differed from the cache's, mixing dict and array substrates in one
    cache.
+4. The array kernel trusted the dense destination indices of a worker
+   task: ``-1`` wrapped to the last AS (``cust[-1] = 0``) and returned a
+   complete, plausible table for the wrong destination.
 """
 
 import numpy as np
 import pytest
 
 from repro.bgp import parallel as parallel_mod
-from repro.bgp.array_routing import ArrayDestinationRouting, compute_array_routing
+from repro.bgp.array_routing import (
+    ArrayDestinationRouting,
+    compute_array_routing,
+    converge_block,
+)
 from repro.bgp.parallel import ParallelRoutingEngine
 from repro.bgp.propagation import RoutingCache
-from repro.errors import ConfigError, RoutingError
+from repro.bgp.shm import CsrSegment, attach_csr
+from repro.errors import ConfigError, RoutingError, TopologyError
 from repro.topology.generator import TopologyConfig, generate_topology
 
 
@@ -142,3 +150,31 @@ class TestPrecomputeBackendMismatch:
         engine = ParallelRoutingEngine(graph, n_workers=1, backend="array")
         assert cache.precompute([0, 1, 2], engine=engine) == 3
         assert len(cache) == 3
+
+
+class TestKernelIndexValidation:
+    """Fix 4: out-of-range and duplicate dense indices raise, never wrap."""
+
+    @pytest.fixture
+    def worker_csr(self, graph, monkeypatch):
+        """The pool initializer, played in-process (as a worker sees it)."""
+        with CsrSegment.create(graph.csr()) as segment:
+            with attach_csr(segment.manifest) as attached:
+                monkeypatch.setattr(parallel_mod, "_WORKER_CSR", attached)
+                yield attached.csr
+
+    def test_worker_task_rejects_out_of_range_indices(self, worker_csr):
+        n = worker_csr.n_nodes
+        for shard in ((-1,), (n,), (0, n + 7), (3, -n)):
+            with pytest.raises(TopologyError, match="outside"):
+                parallel_mod._compute_shard((shard, None))
+
+    def test_duplicate_indices_rejected(self, graph):
+        with pytest.raises(TopologyError, match="duplicate"):
+            converge_block(graph.csr(), [4, 9, 4])
+
+    def test_last_index_still_converges(self, worker_csr):
+        """The boundary the wraparound used to alias: n - 1 is legal."""
+        n = worker_csr.n_nodes
+        state, _ = parallel_mod._compute_shard(((n - 1,), None))
+        assert state[0][0, n - 1] == 0  # the destination's own customer length

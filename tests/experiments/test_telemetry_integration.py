@@ -65,11 +65,16 @@ def test_phases_merge_across_workers():
     result = fig8.run("test", backend="array", workers=2, telemetry=t)
     telemetry = result.meta["telemetry"]
     assert telemetry["gauges"].get("parallel.workers_used") == 2.0
-    # bgp.propagate ran in the workers; its merged completion count must
-    # cover every destination the run converged.
-    count = telemetry["spans"]["bgp.propagate"]["count"]
+    # bgp.propagate ran in the workers, once per kernel block; the merged
+    # block-width histogram must account for every span and, weighted by
+    # width, for every destination the run converged.
+    bounds, counts = (
+        telemetry["histograms"]["bgp.block_dests"][k] for k in ("bounds", "counts")
+    )
+    assert counts[-1] == 0  # no block wider than the kernel's width
+    assert telemetry["spans"]["bgp.propagate"]["count"] == sum(counts)
     converged = telemetry["counters"]["bgp.destinations_converged"]
-    assert count == converged > 0
+    assert sum(w * c for w, c in zip(bounds, counts)) == converged > 0
     assert len(telemetry["spans"]) >= 5
 
 

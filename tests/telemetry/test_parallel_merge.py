@@ -9,17 +9,20 @@ import pytest
 
 from repro import telemetry as tm
 from repro.bgp import parallel
+from repro.bgp.array_routing import block_dests
 from repro.bgp.parallel import ParallelRoutingEngine
 from repro.bgp.shm import CsrSegment, attach_csr
 from repro.telemetry import Telemetry
 from repro.topology.generator import TopologyConfig, generate_topology
 
-DESTS = list(range(0, 12))
+N_ASES = 150
+#: two full kernel blocks and a tail, so the pool really has chunks to split
+DESTS = list(range(2 * block_dests(N_ASES) + 6))
 
 
 @pytest.fixture(scope="module")
 def graph():
-    return generate_topology(TopologyConfig(n_ases=150, seed=9))
+    return generate_topology(TopologyConfig(n_ases=N_ASES, seed=9))
 
 
 @pytest.fixture
@@ -70,6 +73,10 @@ def test_parallel_counters_equal_serial_counters(graph):
 
     for key in ("bgp.destinations_converged", "bgp.routes_propagated"):
         assert par.counters[key] == serial.counters[key]
+    # Pool chunks are whole kernel blocks, so the blocks themselves — one
+    # span and one width sample each — are the serial path's too.
+    assert par.spans["bgp.propagate"][1] == serial.spans["bgp.propagate"][1] == 3
+    assert par.histograms["bgp.block_dests"] == serial.histograms["bgp.block_dests"]
 
 
 def test_pool_failure_reports_fallback(graph, monkeypatch):
@@ -90,16 +97,16 @@ def test_pool_failure_reports_fallback(graph, monkeypatch):
 def test_disabled_telemetry_ships_no_snapshots(worker_csr):
     assert tm.active() is None
     shard = tuple(worker_csr.index[d] for d in DESTS[:2])
-    chunk_states, snap = parallel._compute_shard((shard, None))
+    state, snap = parallel._compute_shard((shard, None))
     assert snap is None
-    assert [idx for idx, _ in chunk_states] == list(shard)
+    assert [a.shape for a in state] == [(len(shard), worker_csr.n_nodes)] * 5
 
 
 def test_enabled_telemetry_ships_chunk_snapshot(worker_csr):
     t = Telemetry()
     tm.activate(t)
     shard = tuple(worker_csr.index[d] for d in DESTS[:3])
-    chunk_states, snap = parallel._compute_shard((shard, t.trace_capacity))
+    _, snap = parallel._compute_shard((shard, t.trace_capacity))
     # The chunk recorded into its own registry, not the inherited one...
     assert tm.active() is t
     assert t.counters == {}

@@ -50,6 +50,8 @@ class TestDerivedSets:
     def test_csr_fields_nonempty(self):
         fields = csr_array_fields()
         assert fields, "derived CSR set must not be empty"
+        # the adjacency itself and the pull schedule derived from it
+        assert {"prov_indptr", "prov_indices", "slot_of", "level_starts"} <= fields
         assert all(name.startswith("_") or name.isidentifier() for name in fields)
 
     def test_every_derived_field_is_a_private_identifier_or_array(self):

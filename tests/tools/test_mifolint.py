@@ -121,6 +121,12 @@ class TestMF003FrozenMutation:
     def test_csr_element_store_flagged(self):
         assert _codes("csr.cust_indptr[0] = 5\n") == ["MF003"]
 
+    def test_pull_schedule_arrays_are_csr_fields(self):
+        """The level schedule is derived from the CSR arrays and shared
+        read-only like them; its arrays join the protected set."""
+        assert _codes("schedule.slot_of[0] = 5\n") == ["MF003"]
+        assert _codes("csr.pull_schedule.level_starts = arr\n") == ["MF003"]
+
     def test_graph_private_store_flagged(self):
         assert _codes("graph._frozen = False\n") == ["MF003"]
 

@@ -52,17 +52,82 @@ class TestCsr:
             }
             assert seen == graph.neighbors(int(asns[i]))
 
-    def test_row_vectors_align_with_indices(self, graph):
-        csr = graph.csr()
-        assert len(csr.cust_rows) == len(csr.cust_indices)
-        expect = np.repeat(
-            np.arange(csr.n_nodes), np.diff(csr.cust_indptr)
-        )
-        assert np.array_equal(csr.cust_rows, expect)
-
     def test_edge_counts_consistent(self, graph):
         csr = graph.csr()
         assert len(csr.cust_indices) == len(csr.prov_indices)
         assert len(csr.peer_indices) % 2 == 0
         total = len(csr.cust_indices) + len(csr.prov_indices) + len(csr.peer_indices)
         assert total == len(csr.nbr_indices) == 2 * graph.num_links()
+
+
+class TestPullSchedule:
+    """The provider-hierarchy level schedule the block kernel sweeps."""
+
+    def test_cached_and_read_only(self, graph):
+        csr = graph.csr()
+        schedule = csr.pull_schedule
+        assert schedule is csr.pull_schedule
+        arrays = [schedule.slot_of, schedule.level_starts]
+        for _, _, columns in schedule.levels:
+            for slots, provs in columns:
+                arrays += [slots, provs]
+        assert all(not a.flags.writeable for a in arrays)
+        with pytest.raises(ValueError, match="read-only"):
+            schedule.slot_of.fill(0)
+
+    def test_slots_are_a_permutation_in_level_order(self, graph):
+        csr = graph.csr()
+        schedule = csr.pull_schedule
+        assert sorted(schedule.slot_of.tolist()) == list(range(csr.n_nodes))
+        assert not schedule.cyclic
+        # levels tile [first level's start, n) and every provider sits in
+        # an earlier slot range than its customer's level
+        starts = schedule.level_starts.tolist()
+        assert starts == [lo for lo, _, _ in schedule.levels] + [csr.n_nodes]
+        assert [hi for _, hi, _ in schedule.levels] == starts[1:]
+        for lo, _, columns in schedule.levels:
+            assert all(int(slots.max()) < lo for slots, _ in columns)
+
+    def test_columns_enumerate_provider_rows(self, graph):
+        """Column j of a level holds exactly the j-th provider (ascending
+        ASN) of the level's nodes that have more than j providers."""
+        csr = graph.csr()
+        schedule = csr.pull_schedule
+        node_at = np.argsort(schedule.slot_of)
+        seen = 0
+        for lo, hi, columns in schedule.levels:
+            for k, node in enumerate(node_at[lo:hi].tolist()):
+                row = csr.prov_indices[csr.prov_indptr[node] : csr.prov_indptr[node + 1]]
+                mine = [int(provs[k]) for _, provs in columns if k < len(provs)]
+                assert mine == row.tolist()
+                seen += len(row)
+            for slots, provs in columns:
+                assert np.array_equal(slots, schedule.slot_of[provs])
+        assert seen == len(csr.prov_indices)
+        # level 0 is exactly the provider-free ASes
+        first = schedule.levels[0][0]
+        assert sorted(node_at[:first].tolist()) == [
+            csr.index[a] for a in sorted(graph.tier1_ases())
+        ]
+
+    def test_provider_cycle_becomes_a_fixpoint_level(self):
+        g = ASGraph()
+        for provider, customer in [(1, 2), (2, 3), (3, 1), (0, 1), (3, 4)]:
+            g.add_p2c(provider, customer)
+        g.freeze(require_acyclic_hierarchy=False)
+        schedule = g.csr().pull_schedule
+        assert schedule.cyclic
+        lo, hi, _ = schedule.levels[-1]
+        tail = np.argsort(schedule.slot_of)[lo:hi]
+        # the cycle 1 -> 2 -> 3 -> 1 and everything below it
+        assert sorted(int(g.csr().asns[i]) for i in tail) == [1, 2, 3, 4]
+
+    def test_cycle_without_any_provider_free_as(self):
+        """Nothing to peel: the closure is still a level, not level 0."""
+        g = ASGraph()
+        for provider, customer in [(1, 2), (2, 3), (3, 1)]:
+            g.add_p2c(provider, customer)
+        g.freeze(require_acyclic_hierarchy=False)
+        schedule = g.csr().pull_schedule
+        assert schedule.cyclic
+        assert [(lo, hi) for lo, hi, _ in schedule.levels] == [(0, 3)]

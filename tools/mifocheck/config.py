@@ -89,6 +89,12 @@ class AnalysisConfig:
     #: explicit field dicts keep working.
     stream_forbidden: tuple[str, ...] = ()
 
+    # -- MC104 protected-field inference, continued --------------------
+    #: classes in the topology module derived from the CSR arrays and
+    #: shared read-only like them (the pull schedule); their np.ndarray
+    #: fields join the CSR array set.
+    csr_derived_classes: tuple[str, ...] = ()
+
 
 def default_config(root: pathlib.Path | None = None) -> AnalysisConfig:
     """The configuration describing the real ``src/repro`` tree."""
@@ -130,5 +136,6 @@ def default_config(root: pathlib.Path | None = None) -> AnalysisConfig:
         slab_methods=("_intern", "seed_free_segments", "add_flow", "remove_flow"),
         topology_module="repro.topology.asgraph",
         csr_class="CsrAdjacency",
+        csr_derived_classes=("PullSchedule",),
         mifolint_core=base / "tools" / "mifolint" / "core.py",
     )

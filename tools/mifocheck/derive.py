@@ -18,7 +18,8 @@ now computed from the code that *defines* them:
   cross-checks the declaration against the subscript-store/``np.add.at``
   footprint of the slab-maintenance methods.
 * **CSR arrays** — the ``np.ndarray``-annotated dataclass fields of
-  ``CsrAdjacency``.
+  ``CsrAdjacency`` and of ``PullSchedule``, the level schedule derived
+  from it (shared read-only by every destination block just the same).
 
 All three derivations raise :class:`DerivationError` when they come up
 empty — an empty protected set silently disables MF003, which is the
@@ -154,13 +155,15 @@ def slab_state_fields() -> frozenset[str]:
 
 
 def csr_array_fields_from_ast(
-    tree: ast.Module, *, class_name: str = "CsrAdjacency"
+    tree: ast.Module,
+    *,
+    class_names: tuple[str, ...] = ("CsrAdjacency", "PullSchedule"),
 ) -> frozenset[str]:
-    """``np.ndarray``-annotated dataclass fields of the CSR class."""
+    """``np.ndarray``-annotated dataclass fields of the CSR classes."""
+    fields: set[str] = set()
     for node in ast.walk(tree):
-        if not (isinstance(node, ast.ClassDef) and node.name == class_name):
+        if not (isinstance(node, ast.ClassDef) and node.name in class_names):
             continue
-        fields: set[str] = set()
         for stmt in node.body:
             if not (
                 isinstance(stmt, ast.AnnAssign)
@@ -175,8 +178,7 @@ def csr_array_fields_from_ast(
                 and ann.value.id in {"np", "numpy"}
             ):
                 fields.add(stmt.target.id)
-        return frozenset(fields)
-    return frozenset()
+    return frozenset(fields)
 
 
 @functools.cache

@@ -66,7 +66,9 @@ def _derived_sets(
     topo = program.modules.get(cfg.topology_module)
     if topo is not None:
         out["CSR_FIELDS"] = (
-            csr_array_fields_from_ast(topo.tree, class_name=cfg.csr_class),
+            csr_array_fields_from_ast(
+                topo.tree, class_names=(cfg.csr_class, *cfg.csr_derived_classes)
+            ),
             cfg.topology_module,
         )
     return out
