@@ -29,22 +29,3 @@ def bench_scale() -> str:
 
 def write_result(results_dir: pathlib.Path, name: str, rendered: str) -> None:
     (results_dir / f"{name}.txt").write_text(rendered + "\n", encoding="utf-8")
-
-
-@pytest.fixture(scope="session")
-def bench_report(results_dir: pathlib.Path):
-    """Machine-readable counterpart of ``write_result``.
-
-    Benchmarks call the yielded function with a name plus numeric fields;
-    each call appends one timestamped record to ``results/BENCH_suite.json``
-    (via :func:`repro.telemetry.perf.append_bench_record`), so repeated
-    benchmark runs accumulate a queryable performance trajectory.
-    """
-    from repro.telemetry.perf import append_bench_record
-
-    path = results_dir / "BENCH_suite.json"
-
-    def record(name: str, **fields: object) -> None:
-        append_bench_record(path, {"bench": name, **fields})
-
-    return record

@@ -19,7 +19,7 @@ detection enabled against the same run with the ``oracle`` detector
 
 Detection quality at bench scale (precision/recall/delay vs the
 planted truths) and sample throughput land in
-``results/microbench_measure.txt`` and ``results/BENCH_suite.json``.
+``results/microbench_measure_*.txt``.
 """
 
 import pytest
@@ -94,7 +94,7 @@ def stress(graph, demands):
 
 class TestMeasureOverhead:
     def test_ride_along_overhead_under_five_percent(
-        self, graph, demands, results_dir, bench_report
+        self, graph, demands, results_dir
     ):
         best = _best_runs(graph, demands, "edge_flap", ("oracle", "changepoint"))
         pct = _overhead_pct(best["changepoint"], best["oracle"])
@@ -106,15 +106,9 @@ class TestMeasureOverhead:
             f"({pct:+.1f}%, ceiling {RIDE_ALONG_CEILING_PCT:g}%)",
         ]
         write_result(results_dir, "microbench_measure_ride_along", "\n".join(lines))
-        bench_report(
-            "measure_ride_along",
-            oracle_s=best["oracle"],
-            changepoint_s=best["changepoint"],
-            overhead_pct=pct,
-        )
         assert pct < RIDE_ALONG_CEILING_PCT, "\n".join(lines)
 
-    def test_stress_overhead_within_ceilings(self, stress, results_dir, bench_report):
+    def test_stress_overhead_within_ceilings(self, stress, results_dir):
         thr_pct = _overhead_pct(stress["threshold"], stress["oracle"])
         cp_pct = _overhead_pct(stress["changepoint"], stress["oracle"])
         n_events = len(get_scenario("rtt_replay").timeline) + 1
@@ -131,15 +125,6 @@ class TestMeasureOverhead:
             f"({samples} samples, changepoint run)",
         ]
         write_result(results_dir, "microbench_measure_stress", "\n".join(lines))
-        bench_report(
-            "measure_stress",
-            oracle_s=stress["oracle"],
-            threshold_s=stress["threshold"],
-            changepoint_s=stress["changepoint"],
-            threshold_overhead_pct=thr_pct,
-            changepoint_overhead_pct=cp_pct,
-            samples_per_s=samples / stress["changepoint"],
-        )
         assert thr_pct < STRESS_THRESHOLD_CEILING_PCT, "\n".join(lines)
         assert cp_pct < STRESS_CHANGEPOINT_CEILING_PCT, "\n".join(lines)
 
@@ -147,7 +132,7 @@ class TestMeasureOverhead:
 class TestDetectionQualityAtBenchScale:
     @pytest.mark.parametrize("detector", ["threshold", "changepoint"])
     def test_recall_and_precision(
-        self, graph, demands, detector, results_dir, bench_report
+        self, graph, demands, detector, results_dir
     ):
         spec = get_scenario("rtt_replay")
         telem = Telemetry()
@@ -180,12 +165,5 @@ class TestDetectionQualityAtBenchScale:
             f"  samples:    {samples} ({samples / elapsed:.0f}/s with tracing)",
         ]
         write_result(results_dir, f"microbench_measure_{detector}", "\n".join(lines))
-        bench_report(
-            f"measure_quality_{detector}",
-            precision=score.precision,
-            recall=score.recall,
-            mean_delay_epochs=score.mean_delay_epochs,
-            samples_per_s=samples / elapsed,
-        )
         assert score.recall >= RECALL_FLOOR, "\n".join(lines)
         assert score.precision >= PRECISION_FLOOR, "\n".join(lines)

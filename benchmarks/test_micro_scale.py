@@ -1,6 +1,6 @@
 """Propagation throughput scale curve.
 
-``micro_scale`` (recorded in ``results/BENCH_suite.json``) —
+``micro_scale`` (recorded in ``results/microbench_scale.txt``) —
 destinations/second of Gao–Rexford convergence through the block kernel
 at 1k / 10k / 44k ASes (the 44k tier is the paper's 44,340-AS UCLA IRL
 topology), three ways: serial one destination per call (a block of one —
@@ -111,7 +111,7 @@ class TestScaleCurve:
         oracle = ParallelRoutingEngine(graph, n_workers=1, backend="dict").compute_many(dests)
         assert _routing_digest(graph, array) == _routing_digest(graph, oracle)
 
-    def test_dests_per_second_curve(self, results_dir, bench_report):
+    def test_dests_per_second_curve(self, results_dir):
         """Record block-of-one, blocked and pooled throughput at each tier."""
         tiers = selected_tiers()
         rows: list[tuple[str, int, int, int, float, float, float, float]] = []
@@ -156,18 +156,6 @@ class TestScaleCurve:
             rss = _peak_rss_mb()
             rows.append(
                 (tier, len(graph), width, n_dests, single_tput, serial_tput, pool_tput, rss)
-            )
-            bench_report(
-                "micro_scale",
-                tier=tier,
-                n_ases=len(graph),
-                n_dests=n_dests,
-                block_dests=width,
-                single_dests_per_s=round(single_tput, 2),
-                serial_dests_per_s=round(serial_tput, 2),
-                persistent_dests_per_s=round(pool_tput, 2),
-                full_table_s=round(len(graph) / serial_tput, 1),
-                peak_rss_mb=round(rss, 1),
             )
 
         lines = [

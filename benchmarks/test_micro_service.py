@@ -4,7 +4,7 @@ Two acceptance gates for ``repro.service`` at scale:
 
 * **Throughput curve** — steady-state events/s at ``batch_max`` 1, 16
   and 64.  Best-of-reps (max rate = min wall-clock) lands in
-  ``results/microbench_service.txt`` and ``results/BENCH_suite.json``.
+  ``results/microbench_service.txt``.
   The CI gate: batching at 64 must clear **3x** the single-threaded
   unbatched (seed) rate — the point of coalescing N ticks into one
   delta-solve.
@@ -76,7 +76,7 @@ def _curve_rate(batch_max: int) -> float:
 
 class TestServiceThroughputCurve:
     @pytest.mark.slow
-    def test_batched_throughput_clears_gate(self, results_dir, bench_report):
+    def test_batched_throughput_clears_gate(self, results_dir):
         rates = {batch_max: _curve_rate(batch_max) for batch_max in CURVE_BATCHES}
         seed_rate = rates[1]
         lines = [
@@ -94,15 +94,6 @@ class TestServiceThroughputCurve:
             f"({rates[64] / seed_rate:.2f}x measured)"
         )
         write_result(results_dir, "microbench_service", "\n".join(lines))
-        for batch_max, rate in rates.items():
-            bench_report(
-                "service_throughput",
-                batch_max=batch_max,
-                mode="serial",  # continues the pre-existing serial series
-                n_events=N_CURVE_EVENTS,
-                events_per_sec=round(rate, 1),
-            )
-
         assert rates[64] >= BATCH_SPEEDUP_GATE * seed_rate, "\n".join(lines)
         # Batching must help monotonically at curve granularity.
         assert rates[16] > seed_rate, "\n".join(lines)
@@ -110,7 +101,7 @@ class TestServiceThroughputCurve:
 
 class TestServiceSoak:
     @pytest.mark.slow
-    def test_soak_bounded_memory_and_throughput(self, results_dir, bench_report):
+    def test_soak_bounded_memory_and_throughput(self, results_dir):
         cfg = ServiceConfig(batch_max=64, **_BASE)
         session = ServiceSession(cfg, topology=TOPO)
 
@@ -141,14 +132,6 @@ class TestServiceSoak:
             f"(floor {EVENTS_PER_SEC_FLOOR:g})",
         ]
         write_result(results_dir, "microbench_service_soak", "\n".join(lines))
-        bench_report(
-            "service_soak",
-            n_events=N_SOAK_EVENTS,
-            batch_max=64,
-            events_per_sec=round(events_per_sec, 1),
-            rss_delta_mb=round(rss_delta, 2),
-            live_flows=session.engine.n_flows,
-        )
 
         assert session.events_processed == N_SOAK_EVENTS
         # Memory: the whole point of the service mode.

@@ -3,9 +3,9 @@
 mifocheck runs as a CI gate over ``src/repro``, so its cost must stay
 far below the test suite it accompanies.  This bench runs all four
 passes in-process, asserts the shipped tree is finding-free and the
-full run finishes well under the CI budget, writes the summary to
-``results/staticcheck.txt``, and appends runtime + findings count to
-``results/BENCH_suite.json``.
+full run finishes well under the CI budget, and writes the summary
+(runtime, findings count, per-pass re-run times) to
+``results/staticcheck.txt``.
 """
 
 
@@ -20,7 +20,7 @@ CI_BUDGET_S = 30.0
 
 
 class TestStaticAnalysisGate:
-    def test_full_run_is_clean_and_fast(self, results_dir, bench_report):
+    def test_full_run_is_clean_and_fast(self, results_dir):
         cfg = default_config()
         sw = Stopwatch()
         pairs, program = run_passes(cfg)
@@ -45,9 +45,3 @@ class TestStaticAnalysisGate:
         for code, dt in per_pass:
             lines.append(f"    {code} re-run on parsed program : {dt:.4f}s")
         write_result(results_dir, "staticcheck", "\n".join(lines))
-        bench_report(
-            "staticcheck",
-            runtime_s=round(elapsed, 4),
-            findings=len(findings),
-            modules=len(program.modules),
-        )

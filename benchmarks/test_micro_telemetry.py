@@ -58,7 +58,7 @@ def _best_of(fn, repeats=3):
     return best
 
 
-def test_disabled_overhead_under_two_percent(graph, results_dir, bench_report):
+def test_disabled_overhead_under_two_percent(graph, results_dir):
     assert tm.active() is None, "telemetry must be disabled for this gate"
 
     # (1) per-call cost of the disabled sink.
@@ -111,14 +111,6 @@ def test_disabled_overhead_under_two_percent(graph, results_dir, bench_report):
         f"enabled/disabled ratio:    {enabled_ratio:8.3f}\n"
     )
     write_result(results_dir, "microbench_telemetry", report)
-    bench_report(
-        "micro_telemetry",
-        per_call_ns=per_call * 1e9,
-        per_dest_ms=per_dest * 1e3,
-        disabled_overhead=overhead,
-        enabled_ratio=enabled_ratio,
-        n_dests=N_DESTS,
-    )
 
 
 def test_enabled_telemetry_records_the_hot_path(graph):

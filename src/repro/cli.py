@@ -7,7 +7,7 @@ Usage::
     python -m repro run all --scale test --verify
     python -m repro run fig9 --scale test --metrics --trace-out trace.jsonl
     python -m repro scenario list
-    python -m repro scenario run link_flap --scale test --mode incremental
+    python -m repro scenario run link_flap --scale test --crosscheck
     python -m repro serve --events 5000 --checkpoint-every 1000
     python -m repro serve --events 5000 --restore-from service.ckpt.json
     python -m repro trace summarize trace.jsonl
@@ -130,20 +130,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
     telem: Telemetry | None = None
     if args.metrics or args.profile or args.trace_out:
         telem = Telemetry()
-    import inspect
-
     for name in names:
         watch = Stopwatch()
         base = telem.snapshot() if telem is not None else None
-        kwargs: dict[str, object] = {
-            "backend": args.routing_backend,
-            "workers": workers,
-            "telemetry": telem,
-        }
-        # Only the fluid-simulator experiments take a solver knob.
-        if "solver" in inspect.signature(REGISTRY[name].run).parameters:
-            kwargs["solver"] = args.solver
-        result = REGISTRY[name].run(args.scale, **kwargs)
+        result = REGISTRY[name].run(
+            args.scale,
+            backend=args.routing_backend,
+            workers=workers,
+            telemetry=telem,
+        )
         print(
             f"==== {name} (scale={args.scale}, {watch.elapsed:.1f}s) " + "=" * 20
         )
@@ -224,7 +219,6 @@ def _cmd_scenario_run(args: argparse.Namespace) -> int:
         backend=args.routing_backend,
         workers=args.workers or None,
         scenario=args.name,
-        mode=args.mode,
         detector=args.detector,
         n_flows=args.n_flows,
         verify=not args.no_verify,
@@ -232,7 +226,7 @@ def _cmd_scenario_run(args: argparse.Namespace) -> int:
         telemetry=telem,
     )
     print(
-        f"==== scenario {args.name} (scale={args.scale}, mode={args.mode}, "
+        f"==== scenario {args.name} (scale={args.scale}, "
         f"detector={args.detector}, {watch.elapsed:.1f}s) " + "=" * 12
     )
     print(result.render())
@@ -438,7 +432,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     from .bgp.propagation import RoutingCache
     from .experiments.common import deployment_sample, make_provider
     from .experiments.report import text_table
-    from .flowsim.simulator import FluidSimConfig, FluidSimulator
+    from .flowsim.simulator import FluidSimulator
     from .metrics.summary import comparison_rows
     from .topology.generator import TopologyConfig, generate_topology
     from .traffic.matrix import TrafficConfig, powerlaw_matrix, uniform_matrix
@@ -473,9 +467,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     for scheme in args.schemes:
         watch = Stopwatch()
         provider = make_provider(scheme, graph, routing, capable)
-        res = FluidSimulator(
-            graph, provider, FluidSimConfig(solver=args.solver)
-        ).run(specs)
+        res = FluidSimulator(graph, provider).run(specs)
         results.append(res)
         print(f"ran {scheme} in {watch.elapsed:.1f}s", file=sys.stderr)
     print(
@@ -506,13 +498,6 @@ def main(argv: list[str] | None = None) -> int:
     p_run.add_argument("experiment", help="experiment name from 'list', or 'all'")
     p_run.add_argument("--scale", default="default", choices=sorted(SCALES))
     _add_engine_options(p_run)
-    p_run.add_argument(
-        "--solver",
-        choices=("incremental", "full"),
-        default="incremental",
-        help="fluid max-min solver (results are byte-identical; "
-        "'full' rebuilds the incidence cold every event)",
-    )
     p_run.add_argument(
         "--json", default=None, metavar="DIR", help="also dump ExperimentResult JSON"
     )
@@ -550,13 +535,6 @@ def main(argv: list[str] | None = None) -> int:
     p_sc_run = sc_sub.add_parser("run", help="play one scenario timeline")
     p_sc_run.add_argument("name", help="scenario name from 'scenario list'")
     p_sc_run.add_argument("--scale", default="test", choices=sorted(SCALES))
-    p_sc_run.add_argument(
-        "--mode",
-        choices=("incremental", "full"),
-        default="incremental",
-        help="control-plane update policy (results are byte-identical; "
-        "'full' recomputes everything each event)",
-    )
     p_sc_run.add_argument(
         "--detector",
         choices=("oracle", "threshold", "changepoint"),
@@ -737,12 +715,6 @@ def main(argv: list[str] | None = None) -> int:
         help="any of BGP MIRO MIFO",
     )
     _add_engine_options(p_sim)
-    p_sim.add_argument(
-        "--solver",
-        choices=("incremental", "full"),
-        default="incremental",
-        help="fluid max-min solver (byte-identical results)",
-    )
     p_sim.set_defaults(fn=_cmd_simulate)
 
     args = parser.parse_args(argv)

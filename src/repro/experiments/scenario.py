@@ -9,11 +9,11 @@ and what throughput the population sustained — the paper's motivating
 rather than a static before/after pair.
 
 ``mode`` selects the control-plane update policy: ``"incremental"``
-(dirty-set re-propagation + warm-started re-solves) or ``"full"`` (the
-recompute-everything baseline).  The two are byte-identical in the
-determinism-checked payload — only provenance (and wall-clock) differ —
-so the cross-validation suite runs every scenario in both modes and
-diffs the serialized results.
+(dirty-set re-propagation + memoized re-solves, what the CLI runs) or
+``"full"`` (the recompute-everything reference; a keyword here and not a
+CLI flag).  The two are byte-identical in the determinism-checked payload
+— only provenance (and wall-clock) differ — so the cross-validation
+suite runs every scenario in both modes and diffs the serialized results.
 """
 
 from __future__ import annotations

@@ -28,9 +28,11 @@ per-link base flow count is maintained by the same deltas, so a solve
 starts from the previous event's state instead of re-aggregating.
 
 **Bitwise equality with the cold solver** is a hard contract, not an
-aspiration: ``tests/flowsim`` asserts it, and the simulator's
-``solver="incremental"``/``"full"`` modes must serialize identically.  It
-holds because every float the two solvers compare is derived the same way:
+aspiration: ``tests/flowsim`` asserts it, the simulator's
+``solver="incremental"``/``"full"`` modes must serialize identically, and
+:meth:`IncrementalMaxMin.crosscheck` replays the cold solver against a
+live pool (the scenario engine's ``crosscheck`` knob).  It holds because
+every float the two solvers compare is derived the same way:
 
 * per-link flow counts are sums of small integers — exact in float64
   under any association, so the pooled multiplicity sum equals the
@@ -62,6 +64,7 @@ import numpy as np
 
 from .. import telemetry as tm
 from ..errors import SimulationError
+from .maxmin import build_incidence, maxmin_rates
 
 __all__ = ["IncrementalMaxMin"]
 
@@ -77,6 +80,15 @@ def _grow_to(arr: np.ndarray, need: int, fill: float = 0.0) -> np.ndarray:
     out = np.full(max(need, 2 * arr.shape[0], _GROW), fill, dtype=arr.dtype)
     out[: arr.shape[0]] = arr
     return out
+
+
+def _as_path(link_ids: Sequence[int]) -> tuple[int, ...]:
+    """``link_ids`` as the interning key; a negative id would index the
+    per-link arrays from the end, so it is rejected here."""
+    path = tuple(int(x) for x in link_ids)
+    if path and min(path) < 0:
+        raise SimulationError(f"negative link id in flow path {path}")
+    return path
 
 
 class IncrementalMaxMin:
@@ -310,7 +322,7 @@ class IncrementalMaxMin:
         """
         if flow_id in self._flow_col:
             raise SimulationError(f"flow {flow_id} already in the solver")
-        path = tuple(int(x) for x in link_ids)
+        path = _as_path(link_ids)
         col = self._intern(path)
         self._flow_col[flow_id] = col
         if path:
@@ -342,8 +354,9 @@ class IncrementalMaxMin:
         """Reroute one existing flow onto a new path."""
         if flow_id not in self._flow_col:
             raise SimulationError(f"flow {flow_id} not in the solver")
+        path = _as_path(link_ids)  # reject before the old path is dropped
         self.remove_flow(flow_id)
-        self.add_flow(flow_id, link_ids)
+        self.add_flow(flow_id, path)
 
     def set_capacity(self, capacity: np.ndarray) -> None:
         """Replace the per-link capacity vector (bps, dense link index).
@@ -358,7 +371,13 @@ class IncrementalMaxMin:
             self._tick += 1
 
     def invalidate(self) -> None:
-        """Force the next :meth:`solve` to re-run the fill."""
+        """Force the next :meth:`solve` to re-run the fill.
+
+        This only defeats the memo: the fill that then runs is still the
+        pooled one over the maintained incidence.  ``mode="full"`` of the
+        scenario engine calls it every event; the cold reference is
+        :meth:`crosscheck`.
+        """
         self._tick += 1
 
     # ------------------------------------------------------------------
@@ -556,6 +575,38 @@ class IncrementalMaxMin:
         tm.inc("flowsim.maxmin_iterations", rounds)
         self._solved_tick = self._tick
         return True
+
+    def crosscheck(self) -> None:
+        """Replay the cold :func:`~repro.flowsim.maxmin.maxmin_rates` over
+        the same flows, capacity and tolerances, and raise
+        :class:`~repro.errors.SimulationError` unless every rate and the
+        per-link load of the last :meth:`solve` agree with it bit for bit.
+        """
+        if self.pending:
+            raise SimulationError("crosscheck() needs a solved state")
+        pairs = list(self.flows())
+        n_links = self._capacity.shape[0]
+        oracle_load = np.zeros(n_links)
+        oracle = maxmin_rates(
+            build_incidence([list(path) for _fid, path in pairs], n_links),
+            self._capacity,
+            unconstrained_rate=self.unconstrained_rate,
+            tol=self.tol,
+            group_rtol=self.group_rtol,
+            load_out=oracle_load,
+        )
+        for (fid, _path), want in zip(pairs, oracle):
+            got = self.rate_of(fid)
+            if got != want:
+                raise SimulationError(
+                    f"incremental solver crosscheck failed: flow {fid} rate "
+                    f"{got!r} != oracle {want!r}"
+                )
+        if not np.array_equal(self._load[:n_links], oracle_load):
+            raise SimulationError(
+                "incremental solver crosscheck failed: link allocation "
+                "diverged from the cold per-flow oracle"
+            )
 
     # ------------------------------------------------------------------
     # reads

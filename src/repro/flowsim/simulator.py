@@ -66,10 +66,11 @@ class FluidSimConfig:
     max_events: int | None = None
     #: ``"incremental"`` — the stateful path-pooled solver
     #: (:class:`~repro.flowsim.incremental.IncrementalMaxMin`), updated by
-    #: per-event deltas; ``"full"`` — rebuild the link×flow incidence and
-    #: run :func:`~repro.flowsim.maxmin.maxmin_rates` cold every event.
-    #: The two are byte-identical in every result (cross-validated in
-    #: ``tests/flowsim/test_crossvalidation.py``); incremental is faster.
+    #: per-event deltas: the shipping path.  ``"full"`` — the reference
+    #: tests compare against: rebuild the link×flow incidence and run
+    #: :func:`~repro.flowsim.maxmin.maxmin_rates` cold every event.  The
+    #: two are byte-identical in every result (cross-validated in
+    #: ``tests/flowsim/test_crossvalidation.py``).
     solver: str = "incremental"
     #: emit one ``rtt_sample`` trace event per active flow per event
     #: loop iteration (the :mod:`repro.measure` observable).  Pure

@@ -18,8 +18,8 @@ dynamic case first-class:
   re-propagation);
 * :mod:`repro.scenario.engine` — the driver that advances a simulation
   through a timeline, incrementally re-selects MIFO deflections for the
-  affected flows only, warm-starts the max-min re-solve
-  (:mod:`repro.flowsim.warmstart`), re-certifies the forwarding
+  affected flows only, re-solves max-min rates on the pooled, memoized
+  solver (:mod:`repro.flowsim.incremental`), re-certifies the forwarding
   invariants over the dirty destinations after every event, and emits
   per-event telemetry.
 

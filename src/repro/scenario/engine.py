@@ -16,8 +16,10 @@ timeline.  Each event runs the same eight-step procedure:
 4. **re-route** exactly those flows through a fresh
    :class:`~repro.mifo.deflection.MifoPathBuilder` walk under the current
    congestion state;
-5. **re-solve** max-min rates through the warm-started
-   :class:`~repro.flowsim.warmstart.WarmStartSolver`;
+5. **re-solve** max-min rates through the engine's one stateful
+   :class:`~repro.flowsim.incremental.IncrementalMaxMin` (the same pooled
+   solver the fluid simulator drives); an event that moved no path and no
+   capacity is a memo hit and skips the fill;
 6. **update congestion** bits with the fluid simulator's hysteresis and
    run one congestion-response pass (deflect flows newly congested,
    offer resumes when something cleared) — mirroring
@@ -30,14 +32,16 @@ timeline.  Each event runs the same eight-step procedure:
 8. **record** a per-event metrics row and a ``scenario_event`` telemetry
    trace entry.
 
-The ``mode`` knob selects ``"incremental"`` (dirty-set re-propagation +
-memoized solves) or ``"full"`` (every cached destination re-converged,
-solver cold every event).  Both modes share steps 3–8 verbatim and both
-key their decisions on the *same* dirty set, so their results are
-byte-identical — ``tests/scenario/test_crossvalidation.py`` asserts the
-serialized results agree on every built-in scenario, and the
-``benchmarks`` micro-bench measures how much wall-clock the incremental
-path saves.
+``mode="incremental"`` is the shipping path (dirty-set re-propagation +
+memoized solves).  ``mode="full"`` is the reference that tests and the
+``bench/`` correctness checks select: every cached destination is
+re-converged and the solver's memo is defeated every event — the fill
+that then runs is still the pooled one; the *cold* oracle
+(:func:`~repro.flowsim.maxmin.maxmin_rates` from a fresh incidence) is
+what ``crosscheck`` replays after each fill.  Both modes share steps 3–8
+verbatim and both key their decisions on the *same* dirty set, so their
+results are byte-identical — ``tests/scenario/test_crossvalidation.py``
+asserts the serialized results agree on every built-in scenario.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ import numpy as np
 
 from .. import telemetry as tm
 from ..errors import ConfigError, NoRouteError, SimulationError, VerificationError
-from ..flowsim.warmstart import WarmStartSolver
+from ..flowsim.incremental import IncrementalMaxMin
 from ..measure.changepoint import DetectorConfig
 from ..measure.rtt import PathRttMonitor
 from ..mifo.deflection import MifoPathBuilder
@@ -78,8 +82,10 @@ class ScenarioConfig:
     link_capacity_bps: float = 1e9
     congest_threshold: float = 0.95
     clear_threshold: float = 0.70
-    #: ``"incremental"`` (dirty-set + warm start) or ``"full"`` (recompute
-    #: everything every event — the cross-validation / benchmark baseline).
+    #: ``"incremental"`` (dirty-set re-propagation + memoized solves) or
+    #: ``"full"`` — the reference tests compare against: re-converges
+    #: every cached destination and defeats the solver memo every event
+    #: (the pooled fill still runs; the cold oracle is ``crosscheck``).
     mode: str = "incremental"
     #: statically re-certify invariants over dirty destinations after
     #: every event (step 7).
@@ -242,9 +248,8 @@ class ScenarioEngine:
             backend=backend,
             recompute="dirty" if self.config.mode == "incremental" else "all",
         )
-        self.solver = WarmStartSolver(
-            unconstrained_rate=self.config.link_capacity_bps,
-            crosscheck=self.config.crosscheck,
+        self.solver = IncrementalMaxMin(
+            unconstrained_rate=self.config.link_capacity_bps, group_rtol=0.0
         )
         #: flow id -> flow, insertion order == ascending flow id.
         self._flows: dict[int, _SimFlow] = {}
@@ -637,24 +642,35 @@ class ScenarioEngine:
         f.path = outcome.path
         f.link_ids = self._intern_path(outcome.path)
         f.on_alt = outcome.used_alternative
-        if old != outcome.path:
-            self.solver.set_flow(f.flow_id, f.link_ids)
-            if old is not None:
-                f.switches += 1
-            return True
-        return False
+        if old == outcome.path:
+            return False
+        # A flow is in the solver exactly while it holds a path.
+        if old is None:
+            self.solver.add_flow(f.flow_id, f.link_ids)
+        else:
+            self.solver.move_flow(f.flow_id, f.link_ids)
+            f.switches += 1
+        return True
 
-    def _solve(self) -> dict[int, float]:
-        self.solver.set_capacity(self._residual_capacity())
+    def _solve(self) -> None:
+        solver = self.solver
+        solver.set_capacity(self._residual_capacity())
         if self.config.mode == "full":
-            self.solver.invalidate()
-        rates = self.solver.solve()
+            solver.invalidate()
+        if solver.pending:
+            tm.inc("flowsim.warm_solves")
+            with tm.span("flowsim.solve"):
+                solver.solve()
+            if self.config.crosscheck:
+                solver.crosscheck()
+        else:
+            solver.solve()  # memo hit: books the rounds not replayed
+            tm.inc("flowsim.warm_hits")
         for f in self._flows.values():
-            f.rate = rates.get(f.flow_id, 0.0)
+            f.rate = solver.rate_of(f.flow_id) if f.path is not None else 0.0
         self._alloc = np.zeros(self._congested.shape[0])
         n = len(self._link_idx)
-        self._alloc[:n] = self.solver.allocation()[:n]
-        return rates
+        self._alloc[:n] = solver.link_load()[:n]
 
     def _update_congestion(self) -> tuple[set[int], bool]:
         """Hysteresis congestion update (same thresholds as the fluid sim);
@@ -671,17 +687,19 @@ class ScenarioEngine:
         any_cleared = bool((old & ~view).any())
         return newly, any_cleared
 
-    def _respond_to_congestion(
-        self,
-        builder: MifoPathBuilder,
-        newly_congested: set[int],
-        any_cleared: bool,
+    def _respond(
+        self, builder: MifoPathBuilder, trigger: set[int], any_cleared: bool
     ) -> int:
-        """One congestion-response pass mirroring the fluid simulator's
-        ``_offer_reroutes``: flows on their default path react to links
-        that just congested on their own path; deflected flows reconsider
-        (and possibly resume) when something cleared.  Moved flows shift
-        the allocation estimate immediately."""
+        """One response pass mirroring the fluid simulator's
+        ``_offer_reroutes``: flows on their default path deflect when
+        triggered — under the oracle detector ``trigger`` holds the links
+        that just congested and a flow crossing one reacts, under a
+        measurement-driven detector it holds the flows whose own RTT
+        series alarmed upward; deflected flows reconsider (and possibly
+        resume) when something cleared.  Moved flows shift the allocation
+        estimate immediately."""
+        by_link = self._rtt is None
+        cause = "congested_link" if by_link else "rtt_alarm"
         moved = 0
         for f in self._flows.values():  # insertion order == flow-id order
             if f.path is None:
@@ -689,7 +707,10 @@ class ScenarioEngine:
             if f.on_alt:
                 if not any_cleared:
                     continue
-            elif newly_congested.isdisjoint(f.link_ids):
+            elif by_link:
+                if trigger.isdisjoint(f.link_ids):
+                    continue
+            elif f.flow_id not in trigger:
                 continue
             old_ids = list(f.link_ids)
             rate = f.rate
@@ -705,7 +726,7 @@ class ScenarioEngine:
                     src=f.src,
                     dst=f.dst,
                     on_alt=f.on_alt,
-                    cause="congested_link" if f.on_alt else "resume",
+                    cause=cause if f.on_alt else "resume",
                     epoch=self._event_no,
                 )
         return moved
@@ -755,44 +776,6 @@ class ScenarioEngine:
         if alarms:
             tm.inc("measure.alarms", len(alarms))
         return {a.flow_id for a in alarms if a.direction == "up"}
-
-    def _respond_to_alarms(
-        self,
-        builder: MifoPathBuilder,
-        alarmed: set[int],
-        any_cleared: bool,
-    ) -> int:
-        """Measurement-driven twin of :meth:`_respond_to_congestion`:
-        flows on their default path deflect when their own RTT series
-        alarmed upward; deflected flows reconsider (and possibly resume)
-        when some link cleared."""
-        moved = 0
-        for f in self._flows.values():  # insertion order == flow-id order
-            if f.path is None:
-                continue
-            if f.on_alt:
-                if not any_cleared:
-                    continue
-            elif f.flow_id not in alarmed:
-                continue
-            old_ids = list(f.link_ids)
-            rate = f.rate
-            if self._route_flow(f, builder):
-                moved += 1
-                for idx in old_ids:
-                    self._alloc[idx] = max(0.0, self._alloc[idx] - rate)
-                for idx in f.link_ids:
-                    self._alloc[idx] += rate
-                tm.event(
-                    "path_switch",
-                    flow=f.flow_id,
-                    src=f.src,
-                    dst=f.dst,
-                    on_alt=f.on_alt,
-                    cause="rtt_alarm" if f.on_alt else "resume",
-                    epoch=self._event_no,
-                )
-        return moved
 
     def _certify(
         self,
@@ -872,25 +855,19 @@ class ScenarioEngine:
                 if self._route_flow(f, builder):
                     rerouted += 1
             self._solve()
-            newly_congested, any_cleared = self._update_congestion()
-            if self._rtt is None:
-                if newly_congested or any_cleared:
-                    if self._respond_to_congestion(
-                        builder, newly_congested, any_cleared
-                    ):
-                        self._solve()
-                        self._update_congestion()
-            else:
+            trigger, any_cleared = self._update_congestion()
+            if self._rtt is not None:
                 # Measurement-driven loop: the hysteresis bits above still
                 # steer *where* alternatives go (the builder consults
                 # them), but *when* to deflect is decided by the RTT
                 # detector.  One sample per path per epoch — responses do
                 # not re-sample, mirroring a real measurement cadence.
-                alarmed = self._observe_rtt()
-                if alarmed or any_cleared:
-                    if self._respond_to_alarms(builder, alarmed, any_cleared):
-                        self._solve()
-                        self._update_congestion()
+                trigger = self._observe_rtt()
+            if (trigger or any_cleared) and self._respond(
+                builder, trigger, any_cleared
+            ):
+                self._solve()
+                self._update_congestion()
 
             verified = 0
             do_verify = self.config.verify if verify is None else verify

@@ -15,9 +15,9 @@ slabs, or RNG internals:
   fresh recompute;
 * the pooled max-min solver rebuilds by re-adding the flow table and
   running one priming fill — bitwise-safe because fill results are
-  independent of column numbering (the warm-start crosscheck asserts
-  exactly this against a fresh cold build); the only pool state that is
-  *not* derivable from the live flows is the free-list occupancy (dead
+  independent of column numbering (``IncrementalMaxMin.crosscheck``
+  asserts exactly this against a fresh cold build); the only pool state
+  that is *not* derivable from the live flows is the free-list occupancy (dead
   columns waiting to be recycled), so that small map is checkpointed and
   re-seeded to keep ``flowsim.cols_reused`` identical under replay;
 * stream event ``i`` is a pure function of ``(seed, i)``, so the cursor
@@ -154,20 +154,22 @@ def capture(session: Any) -> dict[str, Any]:
             "routing_dests": sorted(eng.routing.cached_destinations()),
             "free_segments": {
                 str(n): count
-                for n, count in eng.solver.pool.free_segments().items()
+                for n, count in eng.solver.free_segments().items()
             },
             "counters": {
                 "dests_recomputed": eng.routing.dests_recomputed,
                 "dests_rebased": eng.routing.dests_rebased,
+                # The v3 document names the solve/hit pair twice; both
+                # are the one solver's counters and restore reads ``pool``.
                 "solver_solves": eng.solver.solves,
                 "solver_hits": eng.solver.hits,
                 "pool": {
-                    "pool_hits": eng.solver.pool.pool_hits,
-                    "cols_reused": eng.solver.pool.cols_reused,
-                    "warm_rounds_saved": eng.solver.pool.warm_rounds_saved,
-                    "rounds_total": eng.solver.pool.rounds_total,
-                    "solves": eng.solver.pool.solves,
-                    "hits": eng.solver.pool.hits,
+                    "pool_hits": eng.solver.pool_hits,
+                    "cols_reused": eng.solver.cols_reused,
+                    "warm_rounds_saved": eng.solver.warm_rounds_saved,
+                    "rounds_total": eng.solver.rounds_total,
+                    "solves": eng.solver.solves,
+                    "hits": eng.solver.hits,
                 },
             },
             "rtt": rtt_state,
@@ -295,12 +297,12 @@ def _restore_engine(
     # results are independent of column numbering, so the rebuilt pool's
     # rates, memo tick and last-round count land exactly where the
     # uninterrupted solver's were; lifetime counters then restore on top.
+    pool = eng.solver
     for f in eng._flows.values():
         if f.path is not None:
-            eng.solver.set_flow(f.flow_id, f.link_ids)
-    eng.solver.set_capacity(eng._residual_capacity())
-    eng.solver.pool.solve()
-    pool = eng.solver.pool
+            pool.add_flow(f.flow_id, f.link_ids)
+    pool.set_capacity(eng._residual_capacity())
+    pool.solve()
     # Seed the free-list *after* the live flows (so they don't consume
     # the recycled segments) — replay then recycles columns exactly as
     # the uninterrupted pool would, keeping ``flowsim.cols_reused`` in
@@ -315,8 +317,6 @@ def _restore_engine(
     pool.rounds_total = int(pc["rounds_total"])
     pool.solves = int(pc["solves"])
     pool.hits = int(pc["hits"])
-    eng.solver.solves = int(counters["solver_solves"])
-    eng.solver.hits = int(counters["solver_hits"])
     # 6. The record ring.
     eng.records.clear()
     for row in es["records"]:

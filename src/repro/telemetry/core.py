@@ -14,9 +14,8 @@ Design constraints (ISSUE 3 tentpole):
   ``tests/telemetry/test_merge.py`` property-tests.  The parent absorbs
   deltas via :meth:`Telemetry.absorb`.
 * **Only this module touches the clock.**  ``time.perf_counter`` lives
-  here (and in :mod:`repro.telemetry.perf`); everywhere else in
-  ``src/repro`` the ``MF004`` lint rule forbids direct timer calls so
-  every measured interval is span-mergeable.
+  here; everywhere else in ``src/repro`` the ``MF004`` lint rule forbids
+  direct timer calls so every measured interval is span-mergeable.
 """
 
 from __future__ import annotations

@@ -32,7 +32,9 @@ from repro.flowsim.maxmin import build_incidence, maxmin_rates
 
 
 def assert_matches_oracle(solver: IncrementalMaxMin, capacity) -> None:
-    """Solve and compare every rate and the link load bit for bit."""
+    """Solve and compare every rate and the link load bit for bit — by
+    this file's own replay of the cold solver and by the shipped
+    :meth:`IncrementalMaxMin.crosscheck`, which must agree."""
     cap = np.asarray(capacity, dtype=np.float64)
     flows = list(solver.flows())
     incidence = build_incidence([list(p) for _, p in flows], cap.shape[0])
@@ -47,6 +49,7 @@ def assert_matches_oracle(solver: IncrementalMaxMin, capacity) -> None:
     )
     solver.set_capacity(cap)
     solver.solve()
+    solver.crosscheck()
     for (fid, _), want in zip(flows, expected):
         got = solver.rate_of(fid)
         assert got == want or (math.isnan(got) and math.isnan(want)), (
@@ -256,6 +259,29 @@ class TestPoolMechanics:
         ):
             solver.solve()
 
+    def test_negative_link_id_rejected_before_state_changes(self):
+        """A negative id would wrap onto the last per-link slot (two
+        flows at 10.0 on one 10.0 link); the cold solver raises on it."""
+        solver = IncrementalMaxMin()
+        with pytest.raises(SimulationError, match="negative link id"):
+            solver.add_flow(0, [-1])  # empty pool: no raw IndexError
+        assert solver.n_flows == 0 and solver.n_paths == 0
+        solver.set_capacity(np.array([10.0, 10.0, 10.0]))
+        solver.add_flow(0, [0, 1, 2])
+        solver.solve()
+        for rejected in (
+            lambda: solver.add_flow(1, [-1]),
+            lambda: solver.move_flow(0, [1, -1]),
+        ):
+            with pytest.raises(SimulationError, match="negative link id"):
+                rejected()
+        assert list(solver.flows()) == [(0, (0, 1, 2))]
+        assert solver.n_paths == 1
+        assert solver.pending is False
+        assert solver.rate_of(0) == 10.0
+        assert solver.link_load()[:3].tolist() == [10.0, 10.0, 10.0]
+        solver.crosscheck()
+
     def test_linkless_flow_unconstrained(self):
         solver = IncrementalMaxMin(unconstrained_rate=123.0)
         solver.add_flow(0, [])
@@ -338,6 +364,41 @@ class TestMemo:
         assert solver.stats()["maxmin_iterations"] == cold_rounds
         assert solver.stats()["solves"] == 5
         assert solver.stats()["hits"] == 5
+
+
+class TestCrosscheck:
+    """The shipped crosscheck must be able to fail: one ulp of drift in
+    a pooled rate or in the link load is refuted."""
+
+    @staticmethod
+    def _solved() -> IncrementalMaxMin:
+        solver = IncrementalMaxMin(group_rtol=0.0)
+        solver.set_capacity(np.array([10.0, 4.0]))
+        solver.add_flow(0, [0])
+        solver.add_flow(1, [0, 1])
+        solver.solve()
+        solver.crosscheck()
+        return solver
+
+    def test_perturbed_rate_is_refuted(self):
+        solver = self._solved()
+        col = solver._flow_col[1]
+        solver._rates[col] = np.nextafter(solver._rates[col], np.inf)
+        with pytest.raises(SimulationError, match="flow 1 rate"):
+            solver.crosscheck()
+
+    def test_perturbed_link_load_is_refuted(self):
+        solver = self._solved()
+        load = solver.link_load()
+        load[1] = np.nextafter(load[1], np.inf)
+        with pytest.raises(SimulationError, match="link allocation"):
+            solver.crosscheck()
+
+    def test_unsolved_state_is_rejected(self):
+        solver = self._solved()
+        solver.add_flow(2, [1])
+        with pytest.raises(SimulationError, match="solved state"):
+            solver.crosscheck()
 
 
 class TestBufferReuse:

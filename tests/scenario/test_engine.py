@@ -71,6 +71,19 @@ class TestRun:
         for rec in run.records[1:]:
             assert rec.verified_dests >= rec.dirty_dests
 
+    def test_crosscheck_refutes_a_corrupted_pool(self, small_internet):
+        engine = _engine(
+            small_internet, get_scenario("link_flap"), crosscheck=True
+        )
+        engine.step(0.0, None)
+        # Inflate one pooled column's multiplicity: the next fill books
+        # one flow's bandwidth too many on that path's links.
+        solver = engine.solver
+        fid = next(f.flow_id for f in engine._flows.values() if f.link_ids)
+        solver._mult[solver._flow_col[fid]] += 1.0  # mifolint: disable=MF003 (deliberate)
+        with pytest.raises(SimulationError, match="crosscheck failed"):
+            engine.step(1.0, TrafficRamp(frac=0.1))
+
     def test_runs_are_deterministic(self, small_internet):
         spec = get_scenario("flash_crowd")
         a = _engine(small_internet, spec).run()

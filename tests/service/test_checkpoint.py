@@ -90,6 +90,11 @@ class TestCheckpointBytes:
         restored = ServiceSession.restore(json.loads(blob))
         assert restored.checkpoint_json() == blob
 
+    def test_both_solver_counter_pairs_come_from_the_one_solver(self, reference):
+        counters = reference["session"].checkpoint()["engine"]["counters"]
+        assert counters["solver_solves"] == counters["pool"]["solves"] > 0
+        assert counters["solver_hits"] == counters["pool"]["hits"]
+
     def test_format_and_version_stamped(self, reference):
         state = reference["checkpoints"][0]
         assert state["format"] == CHECKPOINT_FORMAT

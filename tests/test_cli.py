@@ -186,8 +186,18 @@ class TestServeCommand:
             ["serve", "--events", "5", "--workers", "2"],
             ["serve", "--events", "5", "--persistent-pool"],
             ["run", "fig9", "--scale", "test", "--persistent-pool"],
+            ["run", "fig9", "--scale", "test", "--solver", "full"],
+            ["simulate", "--n-ases", "200", "--solver", "full"],
+            ["scenario", "run", "edge_flap", "--mode", "full"],
         ],
-        ids=["serve-workers", "serve-persistent-pool", "run-persistent-pool"],
+        ids=[
+            "serve-workers",
+            "serve-persistent-pool",
+            "run-persistent-pool",
+            "run-solver",
+            "simulate-solver",
+            "scenario-run-mode",
+        ],
     )
     def test_removed_pool_flags_are_usage_errors(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:

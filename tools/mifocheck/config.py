@@ -111,7 +111,6 @@ def default_config(root: pathlib.Path | None = None) -> AnalysisConfig:
             ("repro.scenario.engine", "ScenarioEngine"),
             ("repro.scenario.engine", "_SimFlow"),
             ("repro.scenario.incremental", "IncrementalRouting"),
-            ("repro.flowsim.warmstart", "WarmStartSolver"),
             ("repro.flowsim.incremental", "IncrementalMaxMin"),
             ("repro.measure.rtt", "PathRttMonitor"),
             ("repro.measure.changepoint", "OnlineDetector"),
