@@ -452,8 +452,11 @@ class ArrayDestinationRouting:
                     f"toward {self.dest} dead-ends at AS {hops[-1]}"
                 )
             hops.append(int(asns[cur]))
-            if len(hops) > limit:  # impossible by construction; be loud
-                raise AssertionError(f"default-path loop from AS {x}: {hops[:16]}...")
+            if len(hops) > limit:  # a from_state() payload can hold a cycle
+                raise RoutingError(
+                    f"inconsistent routing state: default-path loop from AS {x} "
+                    f"toward {self.dest}: {hops[:16]}..."
+                )
         path = tuple(hops)
         self._path_cache[x] = path
         return path

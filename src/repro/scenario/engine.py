@@ -27,8 +27,11 @@ timeline.  Each event runs the same eight-step procedure:
    static experiments';
 7. **re-certify**: the verifier statically re-proves loop-freedom,
    valley-freedom and FIB/RIB consistency over the dirty and
-   newly-converged destinations, and cross-checks the deflection events
-   this epoch recorded against the epoch's own FIB state;
+   newly-converged destinations — array-backend views by the block
+   certificate of :mod:`repro.verify.certificate`, anything else by the
+   dict checker's walk — and cross-checks the deflection events this
+   epoch recorded (the trace ring's tail) against the epoch's own FIB
+   state;
 8. **record** a per-event metrics row and a ``scenario_event`` telemetry
    trace entry.
 
@@ -802,15 +805,10 @@ class ScenarioEngine:
                 raise VerificationError(report)
         t = tm.active()
         if t is not None:
-            epoch_events = [
-                e
-                for e in t.trace_events()
-                if isinstance(e.get("seq"), int) and e["seq"] >= trace_mark
-            ]
             problems = crosscheck_trace(
                 self.graph,
                 self.routing,
-                epoch_events,
+                t.events_since(trace_mark),
                 capable=self.capable,
                 skip_epoch_tagged=False,
             )

@@ -23,6 +23,7 @@ from __future__ import annotations
 import bisect
 import contextlib
 import dataclasses
+import itertools
 import time
 from collections import deque
 from collections.abc import Iterator
@@ -367,8 +368,22 @@ class Telemetry:
 
         Callers use it as a *mark*: events recorded after the mark are
         exactly those with ``seq >= mark`` — how the scenario engine
-        scopes its per-epoch trace cross-check."""
+        scopes its per-epoch trace cross-check (:meth:`events_since`)."""
         return self._events_total
+
+    def events_since(self, mark: int) -> list[dict[str, EventValue]]:
+        """The retained events recorded after ``mark`` (an earlier
+        :attr:`events_total`), oldest first.
+
+        At most ``events_total - mark`` events are that new and they are
+        the ring's tail, so only the tail is read: the cost follows what
+        was recorded since the mark, not the ring's capacity."""
+        newest = itertools.islice(reversed(self._trace), self._events_total - mark)
+        since = [
+            e for e in newest if isinstance(seq := e.get("seq"), int) and seq >= mark
+        ]
+        since.reverse()
+        return since
 
     def event(self, kind: str, /, **fields: EventValue) -> None:
         """Append one structured event to the bounded ring buffer."""

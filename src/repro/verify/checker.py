@@ -32,17 +32,33 @@ Three invariants, checked per destination:
 Counterexamples are concrete AS walks (see
 :class:`~repro.verify.report.Finding`), which is what the adversarial
 test configurations assert on.
+
+Two deciders, one report.  The walk below (:class:`_DestinationChecker`)
+handles any snapshot — hand-built adversarial tables, dict-backend
+views, Tag-Check disabled — and is the only one that ever *refutes*.
+:func:`verify_routing` first puts array-backend state to the block
+certificate of :mod:`repro.verify.certificate`, which decides the same
+three invariants with masked array comparisons and proves loop-freedom
+by a potential instead of a search; it answers "certified" or "don't
+know", and every destination it does not certify is snapshotted and
+walked here.  Either way the report is field-for-field the walk's.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from collections import deque
 from collections.abc import Iterable, Iterator
 
+import numpy as np
+
+from .. import telemetry as tm
+from ..bgp.array_routing import ArrayDestinationRouting, block_dests
 from ..mifo.tag import check_bit
 from ..telemetry import Stopwatch
 from ..topology.asgraph import ASGraph
 from ..topology.relationships import Relationship
+from .certificate import certify_block
 from .report import Finding, VerificationReport
 from .state import DestinationState, ForwardingState, RoutingFn
 
@@ -313,12 +329,100 @@ def verify_routing(
     capable: frozenset[int] | None = None,
     tag_check_enabled: bool = True,
 ) -> VerificationReport:
-    """Snapshot live control-plane state and verify it in one call."""
-    fs = ForwardingState.from_routing(
-        graph,
-        routing,
-        sorted(dests),
-        capable=capable,
-        tag_check_enabled=tag_check_enabled,
+    """Snapshot live control-plane state and verify it in one call.
+
+    Array-backend state is first put to the block certificate
+    (:func:`_certify_views`); every destination it does not certify is
+    snapshotted and walked by :class:`_DestinationChecker`, so the report
+    — findings, their order, ``n_states``/``n_edges`` — does not depend
+    on which of the two proved a destination.  With telemetry on,
+    ``verify.dests_certified`` / ``verify.dests_fallback`` say which did.
+    ``elapsed_s`` is the time spent proving, not fetching views or
+    snapshotting them.
+    """
+    unique = list(dict.fromkeys(sorted(dests)))
+    views: dict[int, object] = {}
+    proved: dict[int, tuple[int, int]] = {}
+    certify_s = 0.0
+    if tag_check_enabled and graph.frozen:
+        for dest in unique:
+            try:
+                views[dest] = routing(dest)
+            except Exception:
+                # Not the certificate's to report: the snapshot below asks
+                # again and raises it in its own order, after any error an
+                # earlier destination's tables hold.
+                break
+        watch = Stopwatch()
+        proved = _certify_views(graph, views, capable)
+        certify_s = watch.elapsed
+    rest = [dest for dest in unique if dest not in proved]
+    tm.inc("verify.dests_certified", len(proved))
+    tm.inc("verify.dests_fallback", len(rest))
+
+    def view_of(dest: int) -> object:
+        return views[dest] if dest in views else routing(dest)
+
+    walked = verify_forwarding_state(
+        ForwardingState.from_routing(
+            graph,
+            view_of,
+            rest,
+            capable=capable,
+            tag_check_enabled=tag_check_enabled,
+        )
     )
-    return verify_forwarding_state(fs)
+    return dataclasses.replace(
+        walked,
+        n_destinations=len(unique),
+        n_states=walked.n_states + sum(s for s, _ in proved.values()),
+        n_edges=walked.n_edges + sum(e for _, e in proved.values()),
+        elapsed_s=certify_s + walked.elapsed_s,
+    )
+
+
+def _certify_views(
+    graph: ASGraph, views: dict[int, object], capable: frozenset[int] | None
+) -> dict[int, tuple[int, int]]:
+    """``{dest: (n_states, n_edges)}`` of the views the block certificate
+    proves: :class:`ArrayDestinationRouting` views of their own
+    destination, bound to ``graph``'s CSR, ``block_dests(n)`` at a time.
+    """
+    n = len(graph)
+    blockable: list[ArrayDestinationRouting] = []
+    for dest, view in views.items():
+        if (
+            type(view) is ArrayDestinationRouting
+            and view.dest == dest
+            # a view of ``graph`` built its CSR, so asking builds nothing
+            and view.graph is graph
+            and view.csr is graph.csr()
+            and all(
+                isinstance(a, np.ndarray) and a.shape == (n,) and a.dtype.kind == "i"
+                for a in view.state()
+            )
+        ):
+            blockable.append(view)
+    if not blockable:
+        return {}
+    csr = graph.csr()
+    if capable is None:
+        capable_mask = np.ones(n, dtype=bool)
+    else:
+        capable_mask = np.isin(csr.asns, np.fromiter(capable, np.int64, len(capable)))
+    proved: dict[int, tuple[int, int]] = {}
+    width = block_dests(n)
+    for lo in range(0, len(blockable), width):
+        block = blockable[lo : lo + width]
+        certified, n_states, n_edges = certify_block(
+            csr,
+            np.array([csr.index[view.dest] for view in block], dtype=np.int64),
+            tuple(np.stack(rows) for rows in zip(*(view.state() for view in block))),
+            capable_mask,
+        )
+        for view, good, states, edges in zip(
+            block, certified.tolist(), n_states.tolist(), n_edges.tolist()
+        ):
+            if good:
+                proved[view.dest] = (states, edges)
+    return proved

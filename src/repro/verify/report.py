@@ -54,8 +54,8 @@ class VerificationReport:
 
     ``ok`` means every check proved its invariant for every destination.
     ``n_states``/``n_edges`` size the explored tagged deflection relation
-    (the micro-benchmark tracks them against wall time), and ``elapsed_s``
-    is the verifier's own cost.
+    (the same numbers whether the walk or the array certificate counted
+    them), and ``elapsed_s`` is the verifier's own cost.
     """
 
     ok: bool

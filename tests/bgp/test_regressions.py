@@ -5,7 +5,9 @@ Three fixes, each with the failure mode it guards against:
 1. ``ArrayDestinationRouting`` trusted ``from_state()`` payloads: a
    reachable node whose next-hop slot held the ``-1`` sentinel would
    silently index ``asns[-1]`` (numpy wraparound) and return the *last*
-   ASN as a next hop — a wrong answer instead of an error.
+   ASN as a next hop — a wrong answer instead of an error.  (Same family:
+   a next-hop *cycle* in such a payload raised a bare ``AssertionError``
+   out of ``best_path`` instead of the typed ``RoutingError``.)
 2. ``ParallelRoutingEngine.compute_many`` had no fallback when pool
    creation fails (fd/process limits, sandboxes): the whole run died on
    an ``OSError`` that only affects wall-clock.
@@ -78,6 +80,20 @@ class TestCorruptedStateGuards:
         routing, victim, upstream = self._pick(graph)
         bad = _corrupted(routing, victim)
         with pytest.raises(RoutingError, match="dead-ends"):
+            bad.best_path(upstream)
+
+    def test_next_hop_cycle_raises_a_typed_error(self, graph):
+        # A from_state() payload can hold what propagation cannot produce:
+        # the guard used to be a bare AssertionError ("impossible by
+        # construction"), which the static verifier — whose job is to
+        # refute exactly such state — died of.
+        routing, victim, upstream = self._pick(graph)
+        nh = routing.state()[4].copy()
+        nh[routing.csr.index[victim]] = routing.csr.index[upstream]
+        bad = ArrayDestinationRouting.from_state(
+            graph, routing.dest, (*routing.state()[:4], nh)
+        )
+        with pytest.raises(RoutingError, match="default-path loop"):
             bad.best_path(upstream)
 
     def test_intact_state_round_trips(self, graph):

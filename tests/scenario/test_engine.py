@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import ConfigError, SimulationError
-from repro.scenario.engine import ScenarioConfig, ScenarioEngine
+from repro import telemetry as tm
+from repro.errors import ConfigError, SimulationError, VerificationError
+from repro.scenario.engine import EventEffect, ScenarioConfig, ScenarioEngine
 from repro.scenario.events import (
     FlashCrowd,
     LinkFail,
@@ -127,6 +128,43 @@ class TestRun:
         run = ScenarioEngine(graph, demands, spec).run()
         assert [r.flows_unroutable for r in run.records] == [0, 1, 0]
         assert run.records[2].flows_rerouted == 1
+
+
+class _ForgedDeflection:
+    """An event that does nothing but record a deflection no FIB backs."""
+
+    kind = "forge"
+
+    def apply(self, engine):
+        tm.event(
+            "deflection", **{"as": 1}, dst=0, upstream=None, default_nh=0, chosen=-42
+        )
+        return EventEffect(target="forged")
+
+
+class TestEpochTraceCrossCheck:
+    """Step 7's trace half judges the epoch's own events — the ring's
+    tail — however much older history the ring still holds."""
+
+    def _refutation(self, history: int) -> str:
+        graph = ASGraph.from_links(p2c=[(1, 0), (2, 1)])
+        telemetry = tm.Telemetry(trace_capacity=64)
+        for i in range(history):
+            # Older deflections, equally unbacked: judging them again would
+            # change the message (and they were some earlier epoch's).
+            telemetry.event("deflection", **{"as": 2}, dst=0, default_nh=1, chosen=-i)
+        engine = ScenarioEngine(graph, [], ScenarioSpec("forge", "x", ()))
+        with tm.telemetry_session(telemetry):
+            engine.step(0.0, None)
+            with pytest.raises(VerificationError) as err:
+                engine.step(1.0, _ForgedDeflection())
+        return str(err.value)
+
+    def test_full_and_almost_empty_ring_report_the_same(self):
+        almost_empty = self._refutation(history=0)
+        assert "event 0: AS 1 deflected to -42, which is not in its RIB" in almost_empty
+        assert self._refutation(history=63) == almost_empty  # one slot left
+        assert self._refutation(history=1000) == almost_empty  # wrapped many times
 
 
 class TestPrimitives:

@@ -78,6 +78,34 @@ class TestInstruments:
         assert snap.events_total == 5
         assert snap.events_dropped == 2
 
+    def test_events_since_reads_the_tail_after_a_mark(self):
+        t = Telemetry(trace_capacity=4)
+        for i in range(3):
+            t.event("deflection", dst=i)
+        mark = t.events_total
+        assert t.events_since(mark) == []
+        for i in range(3, 5):
+            t.event("deflection", dst=i)
+        assert [e["dst"] for e in t.events_since(mark)] == [3, 4]
+        for i in range(5, 12):  # more since the mark than the ring retains
+            t.event("deflection", dst=i)
+        assert t.events_since(mark) == list(t.trace_events())
+        assert t.events_since(0) == list(t.trace_events())
+
+    def test_events_since_skips_older_events_an_absorb_left_in_the_tail(self):
+        # A worker that dropped events reports more in events_total than
+        # it ships, so "the newest events_total - mark" can reach past the
+        # mark; the seq filter keeps the answer exact.
+        worker = Telemetry(trace_capacity=1)
+        for i in range(3):
+            worker.event("deflection", dst=10 + i)
+        t = Telemetry()
+        t.event("deflection", dst=0)
+        t.event("deflection", dst=1)
+        mark = t.events_total
+        t.absorb(worker.snapshot())
+        assert [e["dst"] for e in t.events_since(mark)] == [12]
+
     def test_trace_capacity_validated(self):
         with pytest.raises(ValueError):
             Telemetry(trace_capacity=0)

@@ -9,7 +9,7 @@ path*, not merely flagged.
 import pytest
 
 from repro.bgp.propagation import RibEntry, RoutingCache
-from repro.errors import TopologyError, VerificationError
+from repro.errors import RoutingError, TopologyError, VerificationError
 from repro.topology.asgraph import ASGraph
 from repro.topology.generator import TopologyConfig, generate_topology
 from repro.topology.relationships import Relationship
@@ -66,15 +66,18 @@ class TestProofsOnHonestState:
         assert not report.findings_for("fib-rib-consistency")
 
     def test_partial_deployment_is_weaker(self, graph):
-        # Removing ASes from the capable set only removes deflect edges.
-        routing = RoutingCache(graph)
+        # Removing ASes from the capable set only removes deflect edges —
+        # whether the dict walk or the array certificate does the counting.
         dests = _dests(graph, 6)
-        full = verify_routing(graph, routing, dests)
-        partial = verify_routing(
-            graph, routing, dests, capable=frozenset(list(graph.nodes())[:50])
-        )
-        assert partial.ok
-        assert partial.n_edges <= full.n_edges
+        for backend in ("dict", "array"):
+            routing = RoutingCache(graph, backend=backend)
+            full = verify_routing(graph, routing, dests)
+            partial = verify_routing(
+                graph, routing, dests, capable=frozenset(list(graph.nodes())[:50])
+            )
+            assert partial.ok
+            assert partial.n_edges <= full.n_edges
+            assert partial.n_states > 0
 
     def test_render_mentions_proved(self, graph):
         routing = RoutingCache(graph)
@@ -245,6 +248,17 @@ class TestSnapshotAndGate:
             post_run_gate(g, _Routing(), tag_check_enabled=False)
         assert not err.value.report.ok
         assert "loop-freedom" in str(err.value)
+
+    def test_next_hop_loop_in_array_state_is_a_typed_error(self):
+        # The loop verifier must not crash on the loops it exists to
+        # refute: on the chain 1 > 2 > 3, AS 1's next hop toward 3 is
+        # rewritten to AS 1 itself.
+        g = ASGraph.from_links(p2c=[(1, 2), (2, 3)])
+        bad = RoutingCache(g, backend="array")(3)
+        idx = g.csr().index
+        bad.state()[4][idx[1]] = idx[1]
+        with pytest.raises(RoutingError, match="inconsistent routing state"):
+            verify_routing(g, lambda d: bad, [3])
 
     def test_report_json_round_trip(self):
         import json
