@@ -6,18 +6,19 @@ Three equivalent models, fastest first:
   one numpy kernel over the frozen graph's CSR arrays that settles a
   block of destinations per pass (a single destination,
   :func:`~repro.bgp.array_routing.compute_array_routing`, is a block of
-  one); what the :class:`~repro.bgp.parallel.ParallelRoutingEngine`
-  shards across worker processes;
+  one);
 * :func:`~repro.bgp.propagation.compute_routing` — the original
   dict-based three-stage computation, kept as the array backend's
   cross-validation oracle, exposing default paths *and* the
   multi-neighbor RIB that MIFO mines for alternatives;
 * :class:`~repro.bgp.speaker.BgpNetwork` — exact message-level convergence
   (test oracle + small-topology control plane).
+
+:func:`~repro.bgp.propagation.compute_routings` is the one way to converge
+a destination set on either of the first two, in-process.
 """
 
 from .array_routing import ArrayDestinationRouting, compute_array_routing
-from .parallel import ParallelRoutingEngine
 from .policy import accepts, can_export, local_preference, select_best
 from .propagation import (
     CacheStats,
@@ -33,7 +34,6 @@ from .speaker import BgpNetwork, Speaker
 __all__ = [
     "ArrayDestinationRouting",
     "compute_array_routing",
-    "ParallelRoutingEngine",
     "CacheStats",
     "Route",
     "selection_key",

@@ -42,10 +42,9 @@ destination's row, never one node's column.
 The dict-based :class:`~repro.bgp.propagation.DestinationRouting` stays as
 the cross-validation oracle — ``tests/bgp/test_array_routing.py`` asserts
 both backends produce identical ``best_path``/``rib``/``alternatives``
-output at every block size — while :class:`ArrayDestinationRouting` is
-what the parallel engine ships across worker processes:
-:meth:`~ArrayDestinationRouting.state` is just five small arrays, never
-the graph.
+output at every block size.  An :class:`ArrayDestinationRouting` is one
+row of the five arrays (:meth:`~ArrayDestinationRouting.state`) wrapped
+around the graph.
 """
 
 from __future__ import annotations
@@ -100,7 +99,7 @@ def block_dests(n_nodes: int) -> int:
     Derived, not tunable: callers hand over any number of destinations
     and the kernel cuts them into consecutive runs of this width, so the
     cut — and with it every telemetry count — depends on the graph and the
-    destination list alone, never on the caller or the worker count.
+    destination list alone, never on the caller.
     """
     return max(1, min(MAX_BLOCK_DESTS, _BLOCK_CELLS // max(n_nodes, 1)))
 
@@ -261,11 +260,9 @@ def converge_block(
 
     ``dest_idxs`` are **dense** destination indices (``B`` of them, any
     ``B``); returns the five ``(B, n)`` result arrays ``(cust, peer,
-    export, class, next_hop)`` whose rows are the payload
-    :meth:`ArrayDestinationRouting.state` ships between processes.  Needs
-    only a :class:`CsrAdjacency` (which may be a read-only shared-memory
-    attachment, see :mod:`repro.bgp.shm`), so pool workers converge
-    destinations without ever holding an :class:`ASGraph`.
+    export, class, next_hop)`` whose rows become the views'
+    :meth:`ArrayDestinationRouting.state`.  Needs only the graph's
+    :class:`CsrAdjacency`, never the :class:`ASGraph` itself.
 
     Indices must be unique and in ``[0, n)`` — a negative one would wrap
     to a real AS and return a plausible table for the wrong destination.
@@ -338,17 +335,18 @@ class ArrayDestinationRouting:
         self._cust, self._peer, self._export, self._class, self._nh = state
 
     # ------------------------------------------------------------------
-    # worker-process serialization
+    # raw state
     # ------------------------------------------------------------------
     def state(self) -> tuple[np.ndarray, ...]:
-        """The five result arrays — everything a worker must ship back."""
+        """The five result arrays — everything the view knows besides
+        the graph."""
         return (self._cust, self._peer, self._export, self._class, self._nh)
 
     @classmethod
     def from_state(
         cls, graph: ASGraph, dest: int, state: tuple[np.ndarray, ...]
     ) -> "ArrayDestinationRouting":
-        """Rebuild a result object around a parent-process graph."""
+        """Rebuild a view from five result arrays around ``graph``."""
         return cls(graph, dest, state)
 
     @classmethod

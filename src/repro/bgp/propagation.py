@@ -31,15 +31,12 @@ import dataclasses
 import heapq
 from collections import deque
 from collections.abc import Iterable
-from typing import TYPE_CHECKING, Protocol
+from typing import Protocol
 
 from .. import telemetry as tm
-from ..errors import NoRouteError, TopologyError
+from ..errors import ConfigError, NoRouteError, TopologyError
 from ..topology.asgraph import ASGraph
 from ..topology.relationships import Relationship, export_allowed, invert
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from .parallel import ParallelRoutingEngine
 
 __all__ = [
     "RibEntry",
@@ -361,17 +358,20 @@ def compute_routing(graph: ASGraph, dest: int) -> DestinationRouting:
 def compute_routings(
     graph: ASGraph, dests: Iterable[int], backend: str
 ) -> dict[int, RoutingView]:
-    """Converge every destination of ``dests`` in-process on ``backend``;
-    returns ``{dest: routing}`` in first-seen order.
+    """Converge every destination of ``dests`` on ``backend``; returns
+    ``{dest: routing}`` in first-seen order (duplicates once).
 
-    The one place that knows how each backend takes a destination *set*:
-    the dict oracle one at a time, the array backend as blocks
+    The one way anything converges a destination *set*: the dict oracle
+    one at a time, the array backend as blocks
     (:func:`~repro.bgp.array_routing.compute_array_routings`).
+    Propagation is serial — docs/scaling.md records why.
     """
     if backend == "array":
         from .array_routing import compute_array_routings
 
         return dict(compute_array_routings(graph, dests))
+    if backend != "dict":
+        raise ConfigError(f"unknown routing backend {backend!r}")
     return {d: compute_routing(graph, d) for d in dict.fromkeys(dests)}
 
 
@@ -401,8 +401,7 @@ class RoutingCache:
     original pure-Python :class:`DestinationRouting`; ``"array"`` is the
     vectorized :class:`~repro.bgp.array_routing.ArrayDestinationRouting`
     (same query API, same results — the cross-validation suite proves it).
-    :meth:`precompute` bulk-fills the cache, optionally through a
-    :class:`~repro.bgp.parallel.ParallelRoutingEngine`.
+    :meth:`precompute` bulk-fills the cache in blocks.
     """
 
     def __init__(
@@ -413,9 +412,9 @@ class RoutingCache:
         backend: str = "dict",
     ) -> None:
         if backend not in ("dict", "array"):
-            from ..errors import ConfigError
-
             raise ConfigError(f"unknown routing backend {backend!r}")
+        if max_entries is not None and max_entries < 1:
+            raise ConfigError(f"max_entries must be >= 1, got {max_entries}")
         self.graph = graph
         self.max_entries = max_entries
         self.backend = backend
@@ -448,38 +447,18 @@ class RoutingCache:
         self._insert(dest, r)
         return r
 
-    def precompute(
-        self, dests: Iterable[int], engine: ParallelRoutingEngine | None = None
-    ) -> int:
-        """Bulk-fill the cache for ``dests``; returns how many were computed.
+    def precompute(self, dests: Iterable[int]) -> int:
+        """Bulk-fill the cache for ``dests`` with one
+        :func:`compute_routings` call; returns how many were computed.
 
-        ``engine`` is a :class:`~repro.bgp.parallel.ParallelRoutingEngine`
-        (or anything with ``compute_many``); when omitted the fill runs
-        serially on this cache's backend.  Already-cached destinations are
-        skipped without touching the hit/miss counters — precomputation is
-        capacity planning, not demand.
+        Already-cached destinations are skipped without touching the
+        hit/miss counters — precomputation is capacity planning, not
+        demand.
         """
-        if engine is not None:
-            engine_backend = getattr(engine, "backend", None)
-            if engine_backend is not None and engine_backend != self.backend:
-                from ..errors import ConfigError
-
-                # A dict cache filled by an array engine (or vice versa)
-                # would silently mix substrates; results agree, but cache
-                # introspection and the cross-validation suite rely on a
-                # cache holding exactly what its backend produces.
-                raise ConfigError(
-                    f"engine backend {engine_backend!r} does not match cache "
-                    f"backend {self.backend!r}"
-                )
         todo = [d for d in dict.fromkeys(dests) if d not in self._cache]
         if not todo:
             return 0
-        if engine is not None:
-            computed = engine.compute_many(todo)
-        else:
-            computed = compute_routings(self.graph, todo, self.backend)
-        for dest, routing in computed.items():
+        for dest, routing in compute_routings(self.graph, todo, self.backend).items():
             self._insert(dest, routing)
         return len(todo)
 

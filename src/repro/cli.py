@@ -22,17 +22,11 @@ from __future__ import annotations
 import argparse
 import sys
 
-from typing import TYPE_CHECKING
-
 from .experiments import REGISTRY, SCALES
 from .telemetry import Stopwatch, Telemetry, TelemetrySnapshot
 from .topology.generator import TopologyConfig, generate_topology
 from .topology.loader import save_caida
 from .topology.stats import topology_stats
-
-if TYPE_CHECKING:  # pragma: no cover - types only
-    from .bgp.parallel import ParallelRoutingEngine
-    from .topology.asgraph import ASGraph
 
 __all__ = ["main"]
 
@@ -50,44 +44,6 @@ def _add_backend_option(
         choices=("dict", "array"),
         default=default,
         help="BGP convergence implementation (array = vectorized CSR backend)",
-    )
-
-
-def _add_engine_options(parser: argparse.ArgumentParser) -> None:
-    """The routing-engine knobs the bulk-compute subcommands share.
-
-    One definition site so ``run``, ``scenario run``, ``verify``,
-    ``export`` and ``simulate`` cannot drift apart in defaults, choices
-    or flag names.  ``serve`` takes only the backend: its flap path
-    re-converges in-process.
-    """
-    _add_backend_option(parser)
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="routing worker processes for bulk precompute (0 = one per "
-        "CPU; >1 starts a pool over a shared-memory CSR export, array "
-        "backend only; results are byte-identical — see docs/scaling.md)",
-    )
-
-
-def _engine_from_args(
-    graph: "ASGraph", args: argparse.Namespace
-) -> "ParallelRoutingEngine":
-    """Build the one CLI routing engine from the shared engine options.
-
-    The single construction site behind ``verify`` and ``simulate`` —
-    the two subcommands that drive a
-    :class:`~repro.bgp.parallel.ParallelRoutingEngine` directly rather
-    than through :class:`~repro.experiments.common.SharedContext`.
-    """
-    from .bgp.parallel import ParallelRoutingEngine
-
-    return ParallelRoutingEngine(
-        graph,
-        n_workers=args.workers or None,
-        backend=args.routing_backend,
     )
 
 
@@ -123,7 +79,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if unknown:
         print(f"unknown experiment(s): {unknown}; try 'list'", file=sys.stderr)
         return 2
-    workers = args.workers or None  # 0 -> one worker per CPU
     # One registry shared across the whole invocation: per-experiment
     # deltas come from instrumented_run's session, the trace file and the
     # verify cross-check see everything that happened.
@@ -134,10 +89,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         watch = Stopwatch()
         base = telem.snapshot() if telem is not None else None
         result = REGISTRY[name].run(
-            args.scale,
-            backend=args.routing_backend,
-            workers=workers,
-            telemetry=telem,
+            args.scale, backend=args.routing_backend, telemetry=telem
         )
         print(
             f"==== {name} (scale={args.scale}, {watch.elapsed:.1f}s) " + "=" * 20
@@ -170,9 +122,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         # The run above went through the memoized per-scale context, so
         # this re-get is the same object — its cache holds exactly the
         # destinations the experiments forwarded along.
-        ctx = SharedContext.get(
-            args.scale, backend=args.routing_backend, workers=workers
-        )
+        ctx = SharedContext.get(args.scale, backend=args.routing_backend)
         try:
             report = ctx.verify(
                 events=telem.trace_events() if telem is not None else None
@@ -187,9 +137,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             f"post-run invariant gate: {report.render().splitlines()[0]}",
             file=sys.stderr,
         )
-    from .experiments.common import SharedContext
-
-    SharedContext.close_all()  # release worker pools / shm before exit
     return 0
 
 
@@ -217,7 +164,6 @@ def _cmd_scenario_run(args: argparse.Namespace) -> int:
     result = scenario_mod.run(
         args.scale,
         backend=args.routing_backend,
-        workers=args.workers or None,
         scenario=args.name,
         detector=args.detector,
         n_flows=args.n_flows,
@@ -245,9 +191,6 @@ def _cmd_scenario_run(args: argparse.Namespace) -> int:
         path = out / f"scenario_{args.name}_{args.scale}.json"
         path.write_text(result.to_json(indent=2) + "\n", encoding="utf-8")
         print(f"wrote {path}", file=sys.stderr)
-    from .experiments.common import SharedContext
-
-    SharedContext.close_all()  # release worker pools / shm before exit
     return 0
 
 
@@ -374,10 +317,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     else:
         dests = nodes
 
-    with _engine_from_args(graph, args) as engine:
-        if engine.effective_workers > 1:
-            routing.precompute(dests, engine=engine)
-
     capable = deployment_sample(graph, args.deployment)
     report = verify_routing(
         graph,
@@ -412,18 +351,10 @@ def _cmd_topology(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    from .experiments.common import SharedContext
     from .experiments.export import export_all
 
-    written = export_all(
-        args.out,
-        args.scale,
-        backend=args.routing_backend,
-        workers=args.workers or None,
-    )
-    for p in written:
+    for p in export_all(args.out, args.scale, backend=args.routing_backend):
         print(f"wrote {p}")
-    SharedContext.close_all()  # release worker pools / shm before exit
     return 0
 
 
@@ -451,17 +382,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         specs = uniform_matrix(graph, tc)
     else:
         specs = powerlaw_matrix(graph, tc, n_providers=max(50, args.n_ases // 20))
-
-    if args.workers != 1:
-        with _engine_from_args(graph, args) as engine:
-            if engine.effective_workers > 1:
-                watch = Stopwatch()
-                n = routing.precompute({s.dst for s in specs}, engine=engine)
-                print(
-                    f"precomputed {n} destinations on {engine.effective_workers} "
-                    f"workers in {watch.elapsed:.1f}s",
-                    file=sys.stderr,
-                )
 
     results = []
     for scheme in args.schemes:
@@ -497,7 +417,7 @@ def main(argv: list[str] | None = None) -> int:
     p_run = sub.add_parser("run", help="run one experiment (or 'all')")
     p_run.add_argument("experiment", help="experiment name from 'list', or 'all'")
     p_run.add_argument("--scale", default="default", choices=sorted(SCALES))
-    _add_engine_options(p_run)
+    _add_backend_option(p_run)
     p_run.add_argument(
         "--json", default=None, metavar="DIR", help="also dump ExperimentResult JSON"
     )
@@ -543,7 +463,7 @@ def main(argv: list[str] | None = None) -> int:
         "true link load ('oracle') or a measurement-driven detector over "
         "per-path RTT samples",
     )
-    _add_engine_options(p_sc_run)
+    _add_backend_option(p_sc_run)
     p_sc_run.add_argument(
         "--n-flows", type=int, default=None, help="base demand population size"
     )
@@ -677,7 +597,7 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="ablation: verify with Tag-Check disabled",
     )
-    _add_engine_options(p_ver)
+    _add_backend_option(p_ver)
     p_ver.add_argument(
         "--json", default=None, metavar="FILE", help="dump the report as JSON"
     )
@@ -694,7 +614,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_exp.add_argument("--out", default="results/dat")
     p_exp.add_argument("--scale", default="bench", choices=sorted(SCALES))
-    _add_engine_options(p_exp)
+    _add_backend_option(p_exp)
     p_exp.set_defaults(fn=_cmd_export)
 
     p_sim = sub.add_parser(
@@ -714,7 +634,7 @@ def main(argv: list[str] | None = None) -> int:
         "--schemes", nargs="+", default=["BGP", "MIRO", "MIFO"],
         help="any of BGP MIRO MIFO",
     )
-    _add_engine_options(p_sim)
+    _add_backend_option(p_sim)
     p_sim.set_defaults(fn=_cmd_simulate)
 
     args = parser.parse_args(argv)

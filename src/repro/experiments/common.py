@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Sequence
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
 from .. import telemetry as tm
-from ..bgp.parallel import ParallelRoutingEngine, resolve_workers
 from ..bgp.propagation import RoutingCache
 from ..errors import ConfigError
 from ..mifo.deflection import MifoPathBuilder
@@ -103,82 +102,31 @@ class SharedContext:
     Contexts are memoized on the **full** frozen :class:`ExperimentScale`
     plus the routing backend — not just ``(name, seed)``, which silently
     aliased two scales sharing a name but differing in ``n_ases``.
-
-    ``workers`` sets how many processes the context's
-    :class:`~repro.bgp.parallel.ParallelRoutingEngine` uses when an
-    experiment bulk-fills the routing cache (see :meth:`precompute`); it
-    deliberately does not participate in the memo key because it changes
-    wall-clock, never results.  A multi-worker engine owns a worker pool
-    and a shared-memory CSR export — the context closes the old engine
-    whenever it swaps in a new one, and :meth:`close` / :meth:`close_all`
-    release everything explicitly (engines also release on garbage
-    collection, so leaked contexts cannot leak ``/dev/shm`` segments).
+    Experiments bulk-fill :attr:`routing` with
+    :meth:`~repro.bgp.propagation.RoutingCache.precompute`.
     """
 
     _cache: dict[tuple[ExperimentScale, str], "SharedContext"] = {}
 
-    def __init__(
-        self,
-        scale: ExperimentScale,
-        *,
-        backend: str = "dict",
-        workers: int | None = 1,
-    ) -> None:
+    def __init__(self, scale: ExperimentScale, *, backend: str = "dict") -> None:
         self.scale = scale
         self.backend = backend
         with tm.span("topology.build"):
             self.graph: ASGraph = generate_topology(scale.topology_config())
         self.routing = RoutingCache(self.graph, backend=backend)
-        self.engine = ParallelRoutingEngine(
-            self.graph, n_workers=workers, backend=backend
-        )
 
     @classmethod
     def get(
-        cls,
-        scale: str | ExperimentScale,
-        *,
-        backend: str = "dict",
-        workers: int | None = 1,
+        cls, scale: str | ExperimentScale, *, backend: str = "dict"
     ) -> "SharedContext":
-        """The memoized context for ``scale`` (built on first use).
-
-        ``workers=None`` means one per CPU, as everywhere else.
-        """
+        """The memoized context for ``scale`` (built on first use)."""
         sc = get_scale(scale)
-        n_workers = resolve_workers(workers)
         key = (sc, backend)
         ctx = cls._cache.get(key)
         if ctx is None:
-            ctx = cls(sc, backend=backend, workers=n_workers)
+            ctx = cls(sc, backend=backend)
             cls._cache[key] = ctx
-        elif n_workers != ctx.engine.n_workers:
-            # same topology/cache, new worker count: swap the engine,
-            # releasing the old one's pool/segment (if any) first.
-            ctx.engine.close()
-            ctx.engine = ParallelRoutingEngine(
-                ctx.graph, n_workers=n_workers, backend=backend
-            )
         return ctx
-
-    def close(self) -> None:
-        """Release this context's engine resources (pool + shm segment)."""
-        self.engine.close()
-
-    @classmethod
-    def close_all(cls) -> None:
-        """Release engine resources of every memoized context.
-
-        The memo itself survives (topology + routing cache stay warm);
-        engines transparently re-create their pool on next use.
-        """
-        for ctx in cls._cache.values():
-            ctx.close()
-
-    def precompute(self, dests: Iterable[int]) -> int:
-        """Bulk-converge ``dests`` through the parallel engine."""
-        engine = self.engine if self.engine.effective_workers > 1 else None
-        return self.routing.precompute(dests, engine=engine)
 
     def verify(
         self,
@@ -204,17 +152,11 @@ class SharedContext:
 def provenance_meta(ctx: SharedContext) -> dict[str, Any]:
     """Standard provenance entries for an experiment's ``meta``.
 
-    Records what the run *actually used*, not what was requested: the
-    parallel routing engine is always serial for the ``dict`` oracle
-    backend, so ``workers`` here is
-    :attr:`~repro.bgp.parallel.ParallelRoutingEngine.effective_workers`,
-    which may be 1 even though ``run(..., workers=8)`` was asked for.
     All keys live in :data:`~repro.experiments.result.PROVENANCE_KEYS`
     and therefore stay outside the determinism-checked payload.
     """
     return {
         "backend": ctx.backend,
-        "workers": ctx.engine.effective_workers,
         "routing_cache": dataclasses.asdict(ctx.routing.stats),
     }
 
@@ -299,10 +241,10 @@ def run_scheme(
     or ``"full"``) without the caller building a whole config; results are
     byte-identical either way.
     """
-    # Converge every destination the workload will touch up front — on a
-    # parallel context this shards across workers instead of paying for
-    # each destination at first use inside the (serial) simulator loop.
-    ctx.precompute({spec.dst for spec in specs})
+    # Converge every destination the workload will touch up front — in
+    # kernel blocks instead of one at a time at first use inside the
+    # simulator loop.
+    ctx.routing.precompute({spec.dst for spec in specs})
     provider = make_provider(scheme, ctx.graph, ctx.routing, capable)
     config = sim_config or FluidSimConfig()
     if solver is not None:

@@ -55,14 +55,13 @@ def export_all(
     scale: str = "bench",
     *,
     backend: str = "dict",
-    workers: int | None = 1,
 ) -> list[pathlib.Path]:
     """Run every figure experiment and dump its series; returns paths."""
     out = pathlib.Path(out_dir)
     written: list[pathlib.Path] = []
 
     def figure(mod: types.ModuleType) -> Any:
-        return mod.run(scale, backend=backend, workers=workers).raw
+        return mod.run(scale, backend=backend).raw
 
     def emit(
         name: str,

@@ -332,14 +332,13 @@ def run(
     scale: str = "default",
     *,
     backend: str = "dict",
-    workers: int | None = 1,
     config: TestbedConfig | None = None,
 ) -> ExperimentResult:
     # The testbed is an 11-router packet simulation; its control plane is
-    # the message-level BgpNetwork, so the routing backend/worker knobs are
-    # accepted (uniform API) but have nothing to accelerate here.
+    # the message-level BgpNetwork, so the routing backend knob is
+    # accepted (uniform API) but has nothing to accelerate here.
     """Reproduce paper Fig. 12 (testbed FCT comparison)."""
-    del backend, workers
+    del backend
     if config is None:
         config = TestbedConfig.test_scale() if scale == "test" else TestbedConfig()
     bgp = _run_one(config, mifo=False)

@@ -103,14 +103,13 @@ def run(
     scale: str = "default",
     *,
     backend: str = "dict",
-    workers: int | None = 1,
     alphas: Sequence[float] = ALPHAS,
     deployment: float = DEPLOYMENT,
     solver: str = "incremental",
 ) -> ExperimentResult:
     """Reproduce paper Fig. 6 (power-law traffic matrices)."""
     sc = get_scale(scale)
-    ctx = SharedContext.get(sc, backend=backend, workers=workers)
+    ctx = SharedContext.get(sc, backend=backend)
     capable = deployment_sample(ctx.graph, deployment)
     # The paper uses one million content providers; we use every AS ranked
     # by connectivity, capped to keep the Zipf tail meaningful at scale.

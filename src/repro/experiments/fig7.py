@@ -112,14 +112,13 @@ def run(
     scale: str = "default",
     *,
     backend: str = "dict",
-    workers: int | None = 1,
     deployments: Sequence[float] = DEPLOYMENTS,
 ) -> ExperimentResult:
     """Reproduce paper Fig. 7 (path diversity)."""
     sc = get_scale(scale)
-    ctx = SharedContext.get(sc, backend=backend, workers=workers)
+    ctx = SharedContext.get(sc, backend=backend)
     pairs = sample_pairs(ctx, sc.n_pairs, seed=sc.seed + 3)
-    ctx.precompute({dst for _src, dst in pairs})
+    ctx.routing.precompute({dst for _src, dst in pairs})
     counts: dict[tuple[str, float], list[int]] = {}
     for dep in deployments:
         capable = deployment_sample(ctx.graph, dep)

@@ -72,13 +72,12 @@ def run(
     scale: str = "default",
     *,
     backend: str = "dict",
-    workers: int | None = 1,
     deployments: Sequence[float] = DEPLOYMENTS,
     solver: str = "incremental",
 ) -> ExperimentResult:
     """Reproduce paper Fig. 8 (offload vs deployment)."""
     sc = get_scale(scale)
-    ctx = SharedContext.get(sc, backend=backend, workers=workers)
+    ctx = SharedContext.get(sc, backend=backend)
     specs = uniform_matrix(
         ctx.graph,
         TrafficConfig(

@@ -66,12 +66,11 @@ def run(
     scale: str = "default",
     *,
     backend: str = "dict",
-    workers: int | None = 1,
     solver: str = "incremental",
 ) -> ExperimentResult:
     """Reproduce paper Fig. 9 (path-switch stability)."""
     sc = get_scale(scale)
-    ctx = SharedContext.get(sc, backend=backend, workers=workers)
+    ctx = SharedContext.get(sc, backend=backend)
     specs = uniform_matrix(
         ctx.graph,
         TrafficConfig(

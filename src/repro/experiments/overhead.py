@@ -87,17 +87,16 @@ def run(
     scale: str = "default",
     *,
     backend: str = "dict",
-    workers: int | None = 1,
     n_destinations: int = 5,
 ) -> ExperimentResult:
     """Run the control-plane overhead comparison."""
     sc = get_scale(scale)
-    ctx = SharedContext.get(sc, backend=backend, workers=workers)
+    ctx = SharedContext.get(sc, backend=backend)
     graph = ctx.graph
     rng = np.random.default_rng(sc.seed + 7)
     nodes = np.fromiter(graph.nodes(), dtype=np.int64)
     dests = [int(d) for d in rng.choice(nodes, size=n_destinations, replace=False)]
-    ctx.precompute(dests)
+    ctx.routing.precompute(dests)
 
     # Baseline: message-level BGP convergence cost.
     net = BgpNetwork(graph)

@@ -2,11 +2,10 @@
 
 Every experiment module exposes one entry point with one signature::
 
-    run(scale, *, backend="dict", workers=1, **extras) -> ExperimentResult
+    run(scale, *, backend="dict", **extras) -> ExperimentResult
 
 ``backend`` selects the routing implementation (``dict`` oracle or the
-vectorized ``array`` backend) and ``workers`` how many processes the
-parallel routing engine may start; both flow through
+vectorized ``array`` backend); it flows through
 :class:`~repro.experiments.common.SharedContext` so results are
 backend-independent by construction (the cross-validation suite enforces
 it).
@@ -36,7 +35,7 @@ __all__ = ["ExperimentResult", "PROVENANCE_KEYS", "freeze_series"]
 #: Everything outside this set is part of the byte-identical cross-backend
 #: determinism contract.
 PROVENANCE_KEYS: frozenset[str] = frozenset(
-    {"backend", "workers", "routing_cache", "telemetry", "scenario_engine"}
+    {"backend", "routing_cache", "telemetry", "scenario_engine"}
 )
 
 
@@ -66,8 +65,8 @@ class ExperimentResult:
         ``include_provenance=False`` drops the :data:`PROVENANCE_KEYS`
         meta entries, leaving exactly the payload the determinism
         guarantee covers — two runs of one experiment must produce
-        byte-identical output regardless of routing backend or worker
-        count (``tests/experiments/test_determinism.py`` enforces this).
+        byte-identical output regardless of routing backend
+        (``tests/experiments/test_determinism.py`` enforces this).
         """
         meta = self.meta
         if not include_provenance:

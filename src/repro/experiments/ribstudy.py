@@ -81,17 +81,16 @@ def run(
     scale: str = "default",
     *,
     backend: str = "dict",
-    workers: int | None = 1,
     n_destinations: int = 20,
 ) -> ExperimentResult:
     """Run the RIB alternative-route study."""
     sc = get_scale(scale)
-    ctx = SharedContext.get(sc, backend=backend, workers=workers)
+    ctx = SharedContext.get(sc, backend=backend)
     graph = ctx.graph
     rng = np.random.default_rng(sc.seed + 6)
     nodes = np.fromiter(graph.nodes(), dtype=np.int64)
     dests = rng.choice(nodes, size=min(n_destinations, len(nodes)), replace=False)
-    ctx.precompute(int(d) for d in dests)
+    ctx.routing.precompute(int(d) for d in dests)
 
     with tm.span("metrics.compute"):
         sizes: list[int] = []

@@ -93,7 +93,6 @@ def run(
     scale: str = "default",
     *,
     backend: str = "dict",
-    workers: int | None = 1,
     scenario: str | ScenarioSpec = "link_flap",
     mode: str = "incremental",
     detector: str = "oracle",
@@ -121,7 +120,7 @@ def run(
     # Reuse the memoized per-scale topology; routing state is the
     # engine's own (the shared cache stays untouched by design — its
     # destinations must reflect the *static* graph for ``ctx.verify()``).
-    ctx = SharedContext.get(sc, backend=backend, workers=workers)
+    ctx = SharedContext.get(sc, backend=backend)
     demands = uniform_matrix(
         ctx.graph,
         TrafficConfig(

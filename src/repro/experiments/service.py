@@ -96,7 +96,6 @@ def run(
     scale: str = "default",
     *,
     backend: str = "dict",
-    workers: int | None = 1,
     events: int | None = None,
     restore_check: bool = True,
     service_config: ServiceConfig | None = None,
@@ -107,10 +106,8 @@ def run(
     count — each stream event is one engine epoch, so this matches the
     scenario experiments' per-event workload).  ``restore_check``
     checkpoints at the halfway tick and replays the rest on a restored
-    session, asserting payload byte-identity.  ``workers`` is accepted
-    for entry-point uniformity; the streaming engine is single-process.
+    session, asserting payload byte-identity.
     """
-    del workers  # interface parity with the other experiments
     sc = get_scale(scale)
     n_events = events if events is not None else sc.n_flows
     cfg = (

@@ -60,11 +60,10 @@ def run(
     scale: str = "default",
     *,
     backend: str = "dict",
-    workers: int | None = 1,
 ) -> ExperimentResult:
     """Reproduce paper Table I (topology attributes)."""
     sc = get_scale(scale)
-    ctx = SharedContext.get(sc, backend=backend, workers=workers)
+    ctx = SharedContext.get(sc, backend=backend)
     with tm.span("metrics.compute"):
         raw = Table1Result(stats=topology_stats(ctx.graph), scale_name=sc.name)
         meta: dict[str, object] = {

@@ -29,9 +29,6 @@ verify-cadence tick) — never of observation points — so checkpoints
 taken mid-batch serialize the pending ticks verbatim and restore
 replays byte-identically.  See ``docs/scaling.md`` for the semantics.
 
-Flap-driven dirty sets re-converge in-process: the session holds no
-worker pool or shared memory, so there is nothing to close.
-
 Memory stays bounded no matter how long the stream runs: retired flows
 leave the population and the solver, per-event records live in a ring
 (``ServiceConfig.record_capacity``), and the telemetry trace ring is
@@ -334,7 +331,6 @@ class ServiceSession:
         last = records[-1] if records else None
         meta: dict[str, Any] = {
             "backend": self.engine.routing.backend,
-            "workers": 1,
             "routing_cache": {
                 "cached_destinations": len(
                     self.engine.routing.cached_destinations()

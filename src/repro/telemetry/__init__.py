@@ -9,9 +9,8 @@ package makes them first-class:
   (``mifo.deflections``, ``cache.hits``, ``flowsim.maxmin_iterations``…);
 * **Phase timers** — nested wall-clock spans (``topology.build`` →
   ``bgp.propagate`` → ``mifo.deflect`` → ``flowsim.solve`` →
-  ``metrics.compute``) that aggregate across
-  :class:`~repro.bgp.parallel.ParallelRoutingEngine` pool workers via the
-  mergeable :class:`TelemetrySnapshot` protocol;
+  ``metrics.compute``), read back as an immutable
+  :class:`TelemetrySnapshot`;
 * **Structured event trace** — a bounded ring buffer of deflection /
   Tag-Check / path-switch events, exportable as JSONL
   (:mod:`repro.telemetry.trace`) and consumable by the static verifier.
@@ -23,8 +22,8 @@ check (no string formatting, no dict allocation) —
 array-backend routing hot path stays below 2%.
 
 All wall-clock reads in ``src/repro`` must go through this package
-(:class:`Stopwatch` / the span API) so parallel merge and the ``MF004``
-lint rule stay sound.
+(:class:`Stopwatch` / the span API) so the ``MF004`` lint rule stays
+sound.
 """
 
 from .core import (

@@ -1,21 +1,20 @@
-"""Instrument registry, mergeable snapshots, and the module-level sink.
+"""Instrument registry, immutable snapshots, and the module-level sink.
 
-Design constraints (ISSUE 3 tentpole):
+Design constraints:
 
 * **Near-zero disabled cost.**  The process-wide sink is one module
   global, ``_active``; every convenience function and every instrumented
   call site in the pipeline guards on ``_active is None`` — a single
   load + branch, no string formatting, no allocation.  Disabled spans
   return one shared no-op handle.
-* **Mergeable snapshots.**  Fork workers cannot mutate the parent's
-  registry, so each ships back a :class:`TelemetrySnapshot` delta;
-  :meth:`TelemetrySnapshot.merge` is associative (and, except for event
-  concatenation order, commutative), which
-  ``tests/telemetry/test_merge.py`` property-tests.  The parent absorbs
-  deltas via :meth:`Telemetry.absorb`.
+* **Deltas by subtraction.**  A :class:`TelemetrySnapshot` is an
+  immutable copy of one registry; :meth:`TelemetrySnapshot.subtract`
+  turns two of them into what happened in between, which is how an
+  experiment run reports its own share of a shared registry
+  (:class:`TelemetrySession`).
 * **Only this module touches the clock.**  ``time.perf_counter`` lives
   here; everywhere else in ``src/repro`` the ``MF004`` lint rule forbids
-  direct timer calls so every measured interval is span-mergeable.
+  direct timer calls so every measured interval is a span.
 """
 
 from __future__ import annotations
@@ -133,18 +132,7 @@ class _Span(SpanHandle):
 
 @dataclasses.dataclass(frozen=True)
 class TelemetrySnapshot:
-    """Immutable aggregate of one telemetry registry (or a delta of two).
-
-    The merge algebra backs the parallel-worker protocol:
-
-    * counters and span totals/counts **add**;
-    * gauges merge by **max** (associative and commutative — "last write
-      wins" would depend on merge order);
-    * histograms add bucket-wise (bounds must agree);
-    * events **concatenate** (associative; order follows merge order,
-      which the parallel engine keeps deterministic via ordered
-      ``imap`` chunks).
-    """
+    """Immutable aggregate of one telemetry registry (or a delta of two)."""
 
     counters: dict[str, int] = dataclasses.field(default_factory=dict)
     gauges: dict[str, float] = dataclasses.field(default_factory=dict)
@@ -157,44 +145,6 @@ class TelemetrySnapshot:
     events: tuple[dict[str, EventValue], ...] = ()
     events_total: int = 0
     events_dropped: int = 0
-
-    def merge(self, other: "TelemetrySnapshot") -> "TelemetrySnapshot":
-        """Element-wise sum of two snapshots."""
-        counters = dict(self.counters)
-        for k, v in other.counters.items():
-            counters[k] = counters.get(k, 0) + v
-        gauges = dict(self.gauges)
-        for k, g in other.gauges.items():
-            gauges[k] = max(gauges.get(k, g), g)
-        spans = dict(self.spans)
-        for k, (total, count) in other.spans.items():
-            mine = spans.get(k)
-            spans[k] = (
-                (total, count) if mine is None else (mine[0] + total, mine[1] + count)
-            )
-        histograms = dict(self.histograms)
-        for k, (bounds, buckets) in other.histograms.items():
-            mine_h = histograms.get(k)
-            if mine_h is None:
-                histograms[k] = (bounds, buckets)
-            else:
-                if mine_h[0] != bounds:
-                    raise ValueError(
-                        f"histogram {k!r}: bucket bounds differ across snapshots"
-                    )
-                histograms[k] = (
-                    bounds,
-                    tuple(a + b for a, b in zip(mine_h[1], buckets)),
-                )
-        return TelemetrySnapshot(
-            counters=counters,
-            gauges=gauges,
-            histograms=histograms,
-            spans=spans,
-            events=self.events + other.events,
-            events_total=self.events_total + other.events_total,
-            events_dropped=self.events_dropped + other.events_dropped,
-        )
 
     def subtract(self, base: "TelemetrySnapshot") -> "TelemetrySnapshot":
         """This snapshot minus an earlier one of the same registry.
@@ -289,26 +239,16 @@ class TelemetrySnapshot:
         return "\n".join(lines)
 
 
-#: Snapshot fields :meth:`Telemetry.absorb` never reads because the live
-#: registry re-derives them (``events_dropped`` is always
-#: ``events_total - len(trace)`` at the *next* snapshot).  mifocheck MC102
-#: exempts these from its merge-coverage check; adding a field here
-#: instead of merging it needs the same scrutiny as deleting a merge.
-MERGE_DERIVED_FIELDS: tuple[str, ...] = ("events_dropped",)
-
-
 class Telemetry:
     """One live instrument registry.
 
-    Not thread-safe by design: the pipeline is single-threaded per
-    process, and cross-*process* aggregation goes through snapshots.
+    Not thread-safe by design: the pipeline is single-threaded.
     """
 
     __slots__ = (
         "counters",
         "gauges",
         "spans",
-        "trace_capacity",
         "_histograms",
         "_trace",
         "_events_total",
@@ -324,7 +264,6 @@ class Telemetry:
         self._histograms: dict[str, tuple[tuple[float, ...], list[int]]] = {}
         #: name -> [total seconds, completion count]
         self.spans: dict[str, list[float | int]] = {}
-        self.trace_capacity = trace_capacity
         self._trace: deque[dict[str, EventValue]] = deque(maxlen=trace_capacity)
         self._events_total = 0
         self._stack: list[str] = []
@@ -344,7 +283,7 @@ class Telemetry:
         """Record one sample into the named histogram.
 
         The first observation fixes the bucket bounds; later calls with
-        different ``bounds`` raise (bounds must agree for merging).
+        different ``bounds`` raise (bounds must agree for subtraction).
         """
         cell = self._histograms.get(name)
         if cell is None:
@@ -375,13 +314,11 @@ class Telemetry:
         """The retained events recorded after ``mark`` (an earlier
         :attr:`events_total`), oldest first.
 
-        At most ``events_total - mark`` events are that new and they are
-        the ring's tail, so only the tail is read: the cost follows what
+        Exactly ``events_total - mark`` events are that new and they are
+        the ring's tail (an event's ``seq`` is its position in the stream
+        ever recorded), so only the tail is read: the cost follows what
         was recorded since the mark, not the ring's capacity."""
-        newest = itertools.islice(reversed(self._trace), self._events_total - mark)
-        since = [
-            e for e in newest if isinstance(seq := e.get("seq"), int) and seq >= mark
-        ]
+        since = list(itertools.islice(reversed(self._trace), self._events_total - mark))
         since.reverse()
         return since
 
@@ -417,42 +354,6 @@ class Telemetry:
             events_total=self._events_total,
             events_dropped=self._events_total - len(self._trace),
         )
-
-    def absorb(self, snap: TelemetrySnapshot) -> None:
-        """Merge a worker's snapshot delta into this live registry."""
-        for k, v in snap.counters.items():
-            self.counters[k] = self.counters.get(k, 0) + v
-        for k, g in snap.gauges.items():
-            self.gauges[k] = max(self.gauges.get(k, g), g)
-        for k, (total, count) in snap.spans.items():
-            cell = self.spans.get(k)
-            if cell is None:
-                self.spans[k] = [total, count]
-            else:
-                cell[0] += total
-                cell[1] += count
-        for k, (bounds, buckets) in snap.histograms.items():
-            mine = self._histograms.get(k)
-            if mine is None:
-                self._histograms[k] = (bounds, list(buckets))
-            else:
-                if mine[0] != bounds:
-                    raise ValueError(f"histogram {k!r}: bucket bounds differ")
-                for i, b in enumerate(buckets):
-                    mine[1][i] += b
-        dropped_here = 0
-        for e in snap.events:
-            rebased = dict(e)
-            seq = rebased.get("seq")
-            rebased["seq"] = self._events_total + (seq if isinstance(seq, int) else 0)
-            if len(self._trace) == self.trace_capacity:
-                dropped_here += 1
-            self._trace.append(rebased)
-        self._events_total += snap.events_total
-        # Events the *worker* already dropped stay dropped; events this
-        # absorb pushed out of our own ring are accounted implicitly by
-        # events_total - len(_trace) in the next snapshot.
-        _ = dropped_here
 
 
 # ----------------------------------------------------------------------

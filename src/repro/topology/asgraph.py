@@ -73,9 +73,7 @@ class PullSchedule:
     they form one last level that the kernel sweeps to a fixpoint, flagged
     by :attr:`cyclic`.
 
-    Derived from the CSR arrays alone, so a shared-memory attachment
-    rebuilds it like the ``index`` dict instead of shipping it.  Every
-    array is read-only.
+    Derived from the CSR arrays alone.  Every array is read-only.
     """
 
     slot_of: np.ndarray  #: int64[n] dense index -> slot
@@ -154,9 +152,7 @@ class CsrAdjacency:
     each neighbor (as seen from the row node).
 
     Built once per frozen graph (see :meth:`ASGraph.csr`) and shared
-    read-only by every destination computation and, through the
-    shared-memory export of :mod:`repro.bgp.shm`, by every worker process
-    of the parallel routing engine.
+    read-only by every destination computation.
     """
 
     asns: np.ndarray  #: int64[n] dense index -> AS number (ascending)
@@ -372,9 +368,8 @@ class ASGraph:
         """The compact CSR adjacency of this graph (frozen graphs only).
 
         Built lazily on first use and cached; the arrays are shared
-        read-only by the array routing backend and — exported once into
-        shared memory — by every parallel-engine worker, so paper-scale
-        graphs pay the construction cost exactly once per process tree.
+        read-only by every array-backend view, so paper-scale graphs pay
+        the construction cost exactly once.
         """
         if not self._frozen:
             raise TopologyError("freeze() the graph before building CSR arrays")

@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bgp import parallel
 from repro.bgp.array_routing import (
     MAX_BLOCK_DESTS,
     ArrayDestinationRouting,
@@ -20,7 +19,6 @@ from repro.bgp.array_routing import (
     compute_array_routings,
     converge_block,
 )
-from repro.bgp.parallel import ParallelRoutingEngine
 from repro.bgp.propagation import compute_routing
 from repro.errors import NoRouteError, TopologyError
 from repro.topology.asgraph import ASGraph
@@ -275,14 +273,3 @@ class TestPartitionInvariance:
         for lo, hi in zip((0, *cuts), (*cuts, len(self.DESTS))):
             split.update(self._bytes(compute_array_routings(graph, self.DESTS[lo:hi])))
         assert split == one_call
-
-    @pytest.mark.parametrize("fork", [True, False], ids=["fork", "spawn"])
-    def test_two_workers(self, graph, one_call, fork, monkeypatch):
-        if fork and not parallel.fork_available():
-            pytest.skip("platform cannot fork")
-        monkeypatch.setattr(parallel, "fork_available", lambda: fork)
-        with ParallelRoutingEngine(graph, n_workers=2) as engine:
-            pooled = self._bytes(engine.compute_many(self.DESTS))
-            assert engine.pool_live
-        assert pooled == one_call
-        assert list(pooled) == self.DESTS

@@ -34,6 +34,13 @@ class TestLru:
         assert len(cache) == 10
         assert cache.stats.evictions == 0
 
+    @pytest.mark.parametrize("max_entries", [0, -1])
+    def test_capacity_below_one_rejected(self, graph, max_entries):
+        # used to construct fine and then raise a bare StopIteration on the
+        # first miss, evicting from an empty dict
+        with pytest.raises(ConfigError, match="max_entries"):
+            RoutingCache(graph, max_entries=max_entries, backend="array")
+
 
 class TestStats:
     def test_counters(self, graph):
@@ -66,7 +73,10 @@ class TestBackends:
         cache = RoutingCache(graph, backend="array")
         assert cache.precompute(range(5)) == 5
         assert len(cache) == 5
-        assert cache.stats.misses == 0
+        # precomputation is capacity planning: no demand counters touched
+        assert cache.stats.hits == 0 and cache.stats.misses == 0
+        cache(0)  # a hit, not a recompute
+        assert cache.stats.hits == 1 and cache.stats.misses == 0
 
     def test_precompute_respects_max_entries(self, graph):
         cache = RoutingCache(graph, max_entries=3)

@@ -38,23 +38,16 @@ class TestCommon:
         ctx = SharedContext.get("test")
         assert deployment_sample(ctx.graph, 0.3) == deployment_sample(ctx.graph, 0.3)
 
-    def test_provenance_meta_records_effective_workers(self):
-        # The dict backend cannot fork-share its state, so a request for 4
-        # workers silently degrades to serial — provenance must record what
-        # actually ran, not what was asked for.
-        res = table1.run("test", backend="dict", workers=4)
-        ctx = SharedContext.get("test", backend="dict", workers=4)
-        assert res.meta["workers"] == ctx.engine.effective_workers
-        assert res.meta["backend"] == "dict"
-        assert isinstance(res.meta["routing_cache"], dict)
-
     def test_provenance_meta_uniform_across_experiments(self):
         results = [
-            table1.run("test"),
+            table1.run("test", backend="dict"),
             fig7.run("test", deployments=(1.0,)),
         ]
         for res in results:
-            assert {"backend", "workers", "routing_cache"} <= set(res.meta)
+            assert {"backend", "routing_cache"} <= set(res.meta)
+            assert "workers" not in res.meta
+            assert res.meta["backend"] == "dict"
+            assert isinstance(res.meta["routing_cache"], dict)
 
     def test_registry_complete(self):
         assert set(REGISTRY) == {

@@ -58,9 +58,9 @@ class TestExperimentResult:
 
     def test_backends_produce_identical_meta(self):
         # Strip the whole provenance set, not just "backend": cache stats
-        # and effective worker counts legitimately differ across backends
-        # (and with test execution order) — that is exactly why they are
-        # excluded from the determinism-checked payload.
+        # legitimately differ across backends (and with test execution
+        # order) — that is exactly why they are excluded from the
+        # determinism-checked payload.
         dict_result = ribstudy.run("test", backend="dict")
         array_result = ribstudy.run("test", backend="array")
         dmeta = {
@@ -96,18 +96,3 @@ class TestSharedContextKeying:
         a = SharedContext.get("test", backend="array")
         assert d is not a
         assert a.routing.backend == "array"
-
-    def test_workers_swap_engine_not_context(self):
-        a = SharedContext.get("test", workers=1)
-        b = SharedContext.get("test", workers=2)
-        assert a is b
-        assert b.engine.n_workers == 2
-
-    def test_workers_none_swaps_to_one_per_cpu(self, monkeypatch):
-        """Regression: ``workers=None`` on an already-memoized context was
-        read as "keep the current count" instead of one per CPU."""
-        monkeypatch.setattr("os.cpu_count", lambda: 3)
-        a = SharedContext.get("test", workers=1)
-        b = SharedContext.get("test", workers=None)
-        assert a is b
-        assert b.engine.n_workers == 3

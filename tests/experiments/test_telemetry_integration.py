@@ -1,8 +1,8 @@
 """Telemetry wired through the unified experiment API, end to end.
 
 Acceptance criteria of the observability layer: a figure run with
-telemetry on records the named pipeline phases (merged across fork
-workers when there are several), attaches the session delta under the
+telemetry on records the named pipeline phases, attaches the session
+delta under the
 provenance key ``meta["telemetry"]``, and — because telemetry is
 provenance, not physics — leaves ``to_json(include_provenance=False)``
 byte-identical to a run with telemetry off.
@@ -60,14 +60,14 @@ def test_disabled_run_attaches_nothing():
     assert "telemetry" not in result.meta
 
 
-def test_phases_merge_across_workers():
+def test_block_histogram_accounts_for_every_propagation():
     t = Telemetry()
-    result = fig8.run("test", backend="array", workers=2, telemetry=t)
+    result = fig8.run("test", backend="array", telemetry=t)
     telemetry = result.meta["telemetry"]
-    assert telemetry["gauges"].get("parallel.workers_used") == 2.0
-    # bgp.propagate ran in the workers, once per kernel block; the merged
-    # block-width histogram must account for every span and, weighted by
-    # width, for every destination the run converged.
+    assert not any(name.startswith("parallel.") for name in telemetry["gauges"])
+    # bgp.propagate runs once per kernel block; the block-width histogram
+    # must account for every span and, weighted by width, for every
+    # destination the run converged.
     bounds, counts = (
         telemetry["histograms"]["bgp.block_dests"][k] for k in ("bounds", "counts")
     )
@@ -78,12 +78,12 @@ def test_phases_merge_across_workers():
     assert len(telemetry["spans"]) >= 5
 
 
-@pytest.mark.parametrize("backend,workers", [("dict", 1), ("array", 2)])
-def test_telemetry_does_not_perturb_results(backend, workers):
+@pytest.mark.parametrize("backend", ["dict", "array"])
+def test_telemetry_does_not_perturb_results(backend):
     SharedContext._cache.clear()
-    plain = fig7.run("test", backend=backend, workers=workers)
+    plain = fig7.run("test", backend=backend)
     SharedContext._cache.clear()
-    instrumented = fig7.run("test", backend=backend, workers=workers, telemetry=True)
+    instrumented = fig7.run("test", backend=backend, telemetry=True)
     assert plain.to_json(include_provenance=False) == instrumented.to_json(
         include_provenance=False
     )

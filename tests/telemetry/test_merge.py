@@ -1,86 +1,11 @@
-"""Property tests for the snapshot merge algebra.
-
-The parallel engine's correctness rests on ``merge`` being associative
-(chunks can be absorbed as they arrive) and, for everything except the
-event stream, commutative (the totals cannot depend on which worker
-finished first).  Hypothesis checks both over arbitrary snapshots.
-"""
+"""Property test for snapshot subtraction: the delta of two snapshots of
+one registry is exactly what was recorded in between (how a
+``TelemetrySession`` attributes a shared registry to one run)."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.telemetry import Telemetry, TelemetrySnapshot
-
-BOUNDS = (1.0, 4.0, 8.0)
-
-names = st.sampled_from(["a", "b", "mifo.deflections", "cache.hits"])
-
-counters = st.dictionaries(names, st.integers(0, 1000), max_size=4)
-gauges = st.dictionaries(names, st.floats(0, 100, allow_nan=False), max_size=4)
-# Span totals are dyadic rationals so float addition is exact — merge
-# associativity is an algebraic property, not an ulp-level accident.
-dyadic = st.integers(0, 8000).map(lambda n: n / 8.0)
-spans = st.dictionaries(
-    names,
-    st.tuples(dyadic, st.integers(1, 50)),
-    max_size=4,
-)
-histograms = st.dictionaries(
-    st.sampled_from(["h1", "h2"]),
-    st.tuples(
-        st.just(BOUNDS),
-        st.lists(st.integers(0, 9), min_size=4, max_size=4).map(tuple),
-    ),
-    max_size=2,
-)
-events = st.lists(
-    st.builds(lambda i: {"kind": "deflection", "seq": i, "dst": i}, st.integers(0, 99)),
-    max_size=4,
-).map(tuple)
-
-
-@st.composite
-def snapshots(draw):
-    evs = draw(events)
-    return TelemetrySnapshot(
-        counters=draw(counters),
-        gauges=draw(gauges),
-        spans=draw(spans),
-        histograms=draw(histograms),
-        events=evs,
-        events_total=len(evs) + draw(st.integers(0, 5)),
-        events_dropped=draw(st.integers(0, 5)),
-    )
-
-
-@settings(max_examples=80)
-@given(snapshots(), snapshots(), snapshots())
-def test_merge_is_associative(a, b, c):
-    assert a.merge(b).merge(c) == a.merge(b.merge(c))
-
-
-@settings(max_examples=80)
-@given(snapshots(), snapshots())
-def test_merge_totals_are_commutative(a, b):
-    ab, ba = a.merge(b), b.merge(a)
-    # Everything except the event stream (whose order is the merge
-    # order, fixed by the engine's ordered imap) must commute.
-    assert ab.counters == ba.counters
-    assert ab.gauges == ba.gauges
-    assert ab.spans == ba.spans
-    assert ab.histograms == ba.histograms
-    assert ab.events_total == ba.events_total
-    assert sorted(ab.events, key=repr) == sorted(ba.events, key=repr)
-
-
-@settings(max_examples=80)
-@given(snapshots())
-def test_empty_snapshot_is_identity_for_totals(s):
-    empty = TelemetrySnapshot()
-    assert empty.merge(s) == s
-    merged = s.merge(empty)
-    assert merged.counters == s.counters
-    assert merged.events == s.events
+from repro.telemetry import Telemetry
 
 
 @settings(max_examples=50)
@@ -98,34 +23,3 @@ def test_subtract_recovers_session_delta(incs):
     for name, n in incs:
         want[name] = want.get(name, 0) + n
     assert delta.counters == {k: v for k, v in want.items() if v}
-
-
-def test_absorb_rebases_event_seq():
-    parent = Telemetry()
-    parent.event("deflection", dst=0)
-    parent.event("deflection", dst=1)
-    child = Telemetry()
-    child.event("tagcheck_drop", dst=7)
-    child.event("deflection", dst=8)
-    parent.absorb(child.snapshot())
-    seqs = [e["seq"] for e in parent.trace_events()]
-    assert seqs == [0, 1, 2, 3]
-    assert parent.snapshot().events_total == 4
-
-
-def test_absorb_matches_snapshot_merge():
-    a, b = Telemetry(), Telemetry()
-    a.inc("c", 2)
-    a.observe("h", 3.0, bounds=BOUNDS)
-    with a.span("p"):
-        pass
-    b.inc("c", 5)
-    b.observe("h", 9.0, bounds=BOUNDS)
-    b.set_gauge("g", 4)
-    merged = a.snapshot().merge(b.snapshot())
-    a.absorb(b.snapshot())
-    absorbed = a.snapshot()
-    assert absorbed.counters == merged.counters
-    assert absorbed.gauges == merged.gauges
-    assert absorbed.histograms == merged.histograms
-    assert absorbed.spans == merged.spans

@@ -189,6 +189,11 @@ class TestServeCommand:
             ["run", "fig9", "--scale", "test", "--solver", "full"],
             ["simulate", "--n-ases", "200", "--solver", "full"],
             ["scenario", "run", "edge_flap", "--mode", "full"],
+            ["run", "fig9", "--scale", "test", "--workers", "2"],
+            ["scenario", "run", "edge_flap", "--workers", "2"],
+            ["verify", "--scale", "test", "--workers", "2"],
+            ["export", "--scale", "test", "--workers", "2"],
+            ["simulate", "--n-ases", "200", "--workers", "2"],
         ],
         ids=[
             "serve-workers",
@@ -197,6 +202,11 @@ class TestServeCommand:
             "run-solver",
             "simulate-solver",
             "scenario-run-mode",
+            "run-workers",
+            "scenario-run-workers",
+            "verify-workers",
+            "export-workers",
+            "simulate-workers",
         ],
     )
     def test_removed_pool_flags_are_usage_errors(self, argv, capsys):

@@ -32,12 +32,12 @@ def _clean_sink():
     tm.activate(prev)
 
 
-def _recorded_trace(graph, routing, max_events=50):
+def _recorded_trace(graph, routing, max_events=50, event_fields=None):
     """Drive the deflection builder with telemetry on; return real events."""
     t = Telemetry()
     tm.activate(t)
     capable = frozenset(graph.nodes())
-    builder = MifoPathBuilder(graph, routing, capable)
+    builder = MifoPathBuilder(graph, routing, capable, event_fields=event_fields)
 
     def congested(u: int, v: int) -> bool:
         return (u + v) % 3 == 0
@@ -142,114 +142,14 @@ def test_gate_without_events_unchanged(setting):
     assert post_run_gate(graph, routing).ok
 
 
-def _drive_workers(graph, routing, slices, *, epoch_for=(), max_events=25):
-    """Record real deflections in one registry per worker slice.
-
-    Mimics the parallel engine: each worker accumulates into its own
-    :class:`Telemetry` and ships a snapshot back for ``absorb``.  Workers
-    whose index is in ``epoch_for`` tag their events with an ``epoch``
-    field, as the scenario engine's per-event certification does.
-    """
-    snaps = []
-    capable = frozenset(graph.nodes())
-    nodes = sorted(graph.nodes())
-
-    def congested(u: int, v: int) -> bool:
-        return (u + v) % 3 == 0
-
-    def spare(u: int, v: int) -> float:
-        return float((u * 31 + v) % 7 + 1) * 1e8
-
-    for i, (lo, hi) in enumerate(slices):
-        t = Telemetry()
-        tm.activate(t)
-        fields = {"epoch": i} if i in epoch_for else None
-        builder = MifoPathBuilder(graph, routing, capable, event_fields=fields)
-        n = 0
-        for dst in nodes[lo:hi]:
-            for src in nodes[lo:hi]:
-                if src == dst:
-                    continue
-                try:
-                    builder.build_path(src, dst, congested, spare)
-                except (NoRouteError, LoopDetectedError):
-                    continue
-                n = sum(1 for e in t.trace_events() if e["kind"] == "deflection")
-                if n >= max_events:
-                    break
-            if n >= max_events:
-                break
-        tm.activate(None)
-        assert n > 0, f"worker slice {(lo, hi)} produced no deflections"
-        snaps.append(t.snapshot())
-    return snaps
-
-
-class TestMergedParallelSnapshots:
-    """The gate must hold over a trace stitched together by ``absorb``."""
-
-    def _merged(self, graph, routing, **kw):
-        snaps = _drive_workers(graph, routing, [(0, 25), (25, 50)], **kw)
-        parent = Telemetry()
-        for s in snaps:
-            parent.absorb(s)
-        return snaps, parent
-
-    def test_absorb_rebases_seqs_monotonically(self, setting):
-        graph, routing = setting
-        snaps, parent = self._merged(graph, routing)
-        seqs = [e["seq"] for e in parent.trace_events()]
-        assert seqs == sorted(seqs)
-        assert len(set(seqs)) == len(seqs), "rebased seqs must stay unique"
-        assert parent.events_total == sum(s.events_total for s in snaps)
-
-    def test_crosscheck_passes_on_merged_trace(self, setting):
-        graph, routing = setting
-        _, parent = self._merged(graph, routing)
-        assert crosscheck_trace(graph, routing, parent.trace_events()) == []
-        assert post_run_gate(graph, routing, events=parent.trace_events()).ok
-
-    def test_doctored_event_still_caught_after_merge(self, setting):
-        # Seq rebasing must not launder a bad record: doctor one event in
-        # the *second* worker's snapshot and confirm the merged-trace gate
-        # still refutes it.
-        graph, routing = setting
-        snaps = _drive_workers(graph, routing, [(0, 25), (25, 50)])
-        bad = [dict(e) for e in snaps[1].events]
-        for e in bad:
-            if e["kind"] == "deflection":
-                e["chosen"] = -42
-                break
-        parent = Telemetry()
-        parent.absorb(snaps[0])
-        parent.absorb(
-            snaps[1].__class__(
-                counters=snaps[1].counters,
-                gauges=snaps[1].gauges,
-                histograms=snaps[1].histograms,
-                spans=snaps[1].spans,
-                events=tuple(bad),
-                events_total=snaps[1].events_total,
-                events_dropped=snaps[1].events_dropped,
-            )
-        )
-        problems = crosscheck_trace(graph, routing, parent.trace_events())
-        assert any("not in" in p for p in problems)
-
-    def test_epoch_tags_survive_merge_and_default_skip(self, setting):
-        graph, routing = setting
-        _, parent = self._merged(graph, routing, epoch_for=(1,))
-        merged = parent.trace_events()
-        tagged = [e for e in merged if "epoch" in e]
-        assert tagged and all(e["epoch"] == 1 for e in tagged)
-        # Default gate skips epoch-tagged events even when doctored ...
-        doctored = [dict(e) for e in merged]
-        for e in doctored:
-            if "epoch" in e and e["kind"] == "deflection":
-                e["chosen"] = -42
-        assert crosscheck_trace(graph, routing, doctored) == []
-        # ... and the per-epoch certifier (skip off) still refutes them.
-        problems = crosscheck_trace(
-            graph, routing, doctored, skip_epoch_tagged=False
-        )
-        assert any("not in" in p for p in problems)
+def test_epoch_tagged_events_skipped_unless_asked(setting):
+    # The scenario engine tags its per-event certification trace with an
+    # ``epoch`` field; the post-run gate skips those by default (the
+    # engine already judged them) and the per-epoch certifier does not.
+    graph, routing = setting
+    events = _recorded_trace(graph, routing, event_fields={"epoch": 1})
+    assert all(e["epoch"] == 1 for e in events)
+    doctored = [dict(e, chosen=-42) for e in events]
+    assert crosscheck_trace(graph, routing, doctored) == []
+    problems = crosscheck_trace(graph, routing, doctored, skip_epoch_tagged=False)
+    assert any("not in" in p for p in problems)

@@ -8,9 +8,6 @@ whole-program passes against it:
 * **MC101** checkpoint completeness — every instance attribute of the
   session/solver/scenario classes is captured, declared derivable, or
   flagged;
-* **MC102** fork-boundary determinism — worker-emitted telemetry is
-  covered by the snapshot merge algebra and results merge in
-  deterministic order;
 * **MC103** stream purity — ``EventStream.event_at`` reads only
   ``(seed, index)``-derived state;
 * **MC104** protected-field inference — mifolint's MF003 field sets are

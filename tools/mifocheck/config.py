@@ -1,8 +1,8 @@
 """Analysis configuration for mifocheck.
 
 All the repo-specific knowledge the passes need — which module holds the
-checkpoint writer, which classes must be checkpoint-complete, where the
-worker pool lives, which class is the pure event stream — is collected
+checkpoint writer, which classes must be checkpoint-complete, which class
+is the pure event stream — is collected
 here in one declarative object instead of being spread through the pass
 implementations.  The planted-bug fixture corpus under
 ``tests/tools/fixtures/`` re-points these names at miniature packages to
@@ -41,24 +41,6 @@ class AnalysisConfig:
     #: (module, class) pairs whose instance attributes must all be
     #: captured, declared derivable, or flagged
     checkpoint_targets: tuple[tuple[str, str], ...]
-
-    # -- MC102 fork-boundary determinism -------------------------------
-    #: module holding the worker pool dispatch
-    parallel_module: str
-    #: module defining the snapshot type + merge algebra
-    telemetry_module: str
-    #: snapshot dataclass whose fields define the merge algebra domain
-    snapshot_class: str
-    #: function that folds a snapshot into a live sink; every snapshot
-    #: field must appear in it (or in MERGE_DERIVED_FIELDS)
-    merge_function: str
-    #: module-level tuple naming snapshot fields that merge derives
-    #: implicitly instead of reading (e.g. drop accounting)
-    merge_derived_decl: str
-    #: globals a pool initializer may rebind: the sanctioned one-way
-    #: worker-state installs (e.g. the shared-memory CSR attachment).
-    #: Any other ``global`` in worker-reachable code is still a finding.
-    worker_state_globals: tuple[str, ...]
 
     # -- MC103 stream purity -------------------------------------------
     #: module + class + method defining the pure stream entry point
@@ -115,12 +97,6 @@ def default_config(root: pathlib.Path | None = None) -> AnalysisConfig:
             ("repro.measure.rtt", "PathRttMonitor"),
             ("repro.measure.changepoint", "OnlineDetector"),
         ),
-        parallel_module="repro.bgp.parallel",
-        telemetry_module="repro.telemetry.core",
-        snapshot_class="TelemetrySnapshot",
-        merge_function="absorb",
-        merge_derived_decl="MERGE_DERIVED_FIELDS",
-        worker_state_globals=("_WORKER_CSR",),
         stream_module="repro.service.stream",
         stream_class="EventStream",
         stream_method="event_at",

@@ -16,11 +16,11 @@ import pathlib
 from ..config import AnalysisConfig
 from ..program import Program
 from ...lintshared import Finding, suppressed
-from . import mc101, mc102, mc103, mc104
+from . import mc101, mc103, mc104
 
 __all__ = ["PASSES", "RULES", "run_passes"]
 
-PASSES = (mc101, mc102, mc103, mc104)
+PASSES = (mc101, mc103, mc104)
 
 RULES: dict[str, str] = {p.CODE: p.DESCRIPTION for p in PASSES}
 

@@ -32,13 +32,15 @@ import pathlib
 from ..config import AnalysisConfig
 from ..program import FunctionId, Program
 from ...lintshared import Finding
-from .mc102 import EMISSION_FIELDS
 
 CODE = "MC103"
 DESCRIPTION = (
     "the event-stream sampler reads state not derived from (seed, index): "
     "clocks, mutable globals, unseeded randomness, or self-mutation"
 )
+
+#: telemetry emission methods (each records into the process-global sink)
+_EMISSION_METHODS = frozenset({"inc", "set_gauge", "observe", "span", "event"})
 
 _CLOCK_CALLS = {
     ("time", "time"),
@@ -132,7 +134,7 @@ def _check_body(
                 flag(node, f"unseeded stdlib randomness random.{attr}()")
             elif recv in {"np.random", "numpy.random"} and attr in _NP_UNSEEDED:
                 flag(node, f"global-state numpy randomness {recv}.{attr}()")
-            elif attr in EMISSION_FIELDS and recv in {"tm", "telemetry"}:
+            elif attr in _EMISSION_METHODS and recv in {"tm", "telemetry"}:
                 flag(node, f"telemetry emission {recv}.{attr}()")
         elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             if node.id in info.global_decls:

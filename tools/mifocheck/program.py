@@ -11,7 +11,7 @@ Parses every module of one package exactly once and exposes:
   assignment site (plain, annotated, or augmented stores), with the
   first line it appears on;
 * a conservative intra-package **call graph** over function ids of the
-  form ``"module:qualname"`` (``"repro.bgp.parallel:_compute_shard"``,
+  form ``"module:qualname"`` (``"repro.service.stream:merge_effects"``,
   ``"repro.telemetry.core:Telemetry.snapshot"``).
 
 The call graph resolves only what it can prove: direct names, ``self``

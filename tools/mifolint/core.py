@@ -27,9 +27,8 @@ of the incremental solver's slab state.**  Outside ``repro.topology``
 every ``ASGraph`` is frozen by contract, so calling its mutators is at
 best a latent ``TopologyError`` and at worst state corruption; the
 :class:`~repro.topology.asgraph.CsrAdjacency` arrays are shared
-read-only across all destinations *and across forked parallel-engine
-workers* (copy-on-write), so writing to them corrupts every concurrent
-reader.  Likewise the :class:`~repro.flowsim.incremental.IncrementalMaxMin`
+read-only across all destinations, so writing to them corrupts every
+view of the graph.  Likewise the :class:`~repro.flowsim.incremental.IncrementalMaxMin`
 slab/extent/multiplicity arrays persist across simulator events; only
 ``repro.flowsim.incremental`` itself may store into them.  And the
 scenario engine / service session fields the service checkpoint
@@ -535,7 +534,7 @@ class _Visitor(ast.NodeVisitor):
                 self._add(
                     target, "MF003",
                     f"assignment to CSR field .{target.attr} — these arrays are "
-                    f"shared read-only across destinations and forked workers",
+                    f"shared read-only across destinations",
                 )
             elif target.attr in GRAPH_PRIVATES and not self._is_self_call(target):
                 self._add(
@@ -568,7 +567,7 @@ class _Visitor(ast.NodeVisitor):
                 self._add(
                     target, "MF003",
                     f"element store into CSR array .{value.attr} — these arrays "
-                    f"are shared read-only across destinations and forked workers",
+                    f"are shared read-only across destinations",
                 )
             elif (
                 isinstance(value, ast.Attribute)
