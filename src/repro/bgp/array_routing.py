@@ -49,6 +49,7 @@ around the graph.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Iterable, Sequence
 
 import numpy as np
@@ -78,6 +79,42 @@ _NO_HOP = np.int32(-1)
 
 #: dtypes of the five state arrays ``(cust, peer, export, class, next_hop)``.
 _STATE_DTYPES = (np.int32, np.int32, np.int32, np.int8, np.int32)
+
+#: Relationship by code: RIB entries are built from ``tolist()`` values,
+#: and their ``relationship`` must be the enum member itself.
+_RELS = (Relationship.CUSTOMER, Relationship.PEER, Relationship.PROVIDER)
+
+#: A RIB sort key is ``rel * _REL_STRIDE + exported length``: every length
+#: fits below the stride, so keys order by relationship, then length.
+_REL_STRIDE = 1 << 32
+#: Key base of a neighbour that announces nothing to the RIB owner.
+_SILENT = 3 * _REL_STRIDE
+#: Key base of a class code the kernel never writes; sorts after the rest.
+_CORRUPT = 4 * _REL_STRIDE
+
+
+def _announce_keys() -> np.ndarray:
+    """Sort-key base of a neighbour's announcement to the RIB owner.
+
+    Indexed by the neighbour's class code read as ``uint8`` (so unreachable
+    ``-1`` is row 255 and every other ``int8`` code has a row of its own)
+    and by the neighbour's relationship code as seen from the owner.  The
+    Gao–Rexford export rule, :func:`export_allowed`, decides: a customer
+    route, or the destination's own prefix, goes to everyone; any other
+    route only to a customer — an owner whose *provider* the neighbour is.
+    """
+    keys = np.full((256, 3), _CORRUPT, dtype=np.int64)
+    keys[_UNREACHABLE] = _SILENT  # row -1 is row 255
+    # codes 0..2 are routes learned from that class, 3 (_DEST) the origin
+    for code, learned in enumerate((*_RELS, None)):
+        for rel in _RELS:
+            ok = export_allowed(learned, invert(rel))
+            keys[code, rel] = rel * _REL_STRIDE if ok else _SILENT
+    keys.flags.writeable = False
+    return keys
+
+
+_ANNOUNCE_KEYS = _announce_keys()
 
 #: Node-rows (destinations x ASes) one kernel pass may hold.  A pass keeps
 #: ~25 bytes per node-row live (the five result rows, the scratch table
@@ -346,7 +383,9 @@ class ArrayDestinationRouting:
     def from_state(
         cls, graph: ASGraph, dest: int, state: tuple[np.ndarray, ...]
     ) -> "ArrayDestinationRouting":
-        """Rebuild a view from five result arrays around ``graph``."""
+        """Rebuild a view from five result arrays around ``graph``, in
+        :func:`converge_block`'s dtypes (``rib`` reads the int8 class row
+        as bytes)."""
         return cls(graph, dest, state)
 
     @classmethod
@@ -394,12 +433,17 @@ class ArrayDestinationRouting:
 
     def best_class(self, x: int) -> Relationship | None:
         """Class of ``x``'s selected route (None at the destination)."""
-        code = self._class[self._idx(x)]
+        code = self._class.item(self._idx(x))
         if code == _UNREACHABLE:
             raise NoRouteError(x, self.dest)
         if code == _DEST:
             return None
-        return Relationship(int(code))
+        if not 0 <= code < len(_RELS):
+            raise RoutingError(
+                f"inconsistent routing state: AS {x} holds class code {code} "
+                f"toward {self.dest}"
+            )
+        return _RELS[code]
 
     def best_len(self, x: int) -> int:
         """AS-hop length of ``x``'s selected route."""
@@ -437,33 +481,51 @@ class ArrayDestinationRouting:
         i = self._idx(x)
         if self._class[i] == _UNREACHABLE:
             raise NoRouteError(x, self.dest)
-        asns = self.csr.asns
+        path = tuple(map(self.csr.asns.item, self._walk(x, i)))
+        self._path_cache[x] = path
+        return path
+
+    def _walk(self, x: int, i: int) -> list[int]:
+        """Dense indices of the default path from AS ``x`` (dense ``i``) to
+        the destination, both ends included.
+
+        The one walk of the next-hop row, with the corrupted-state guards
+        in one place: :meth:`best_path` memoises what it returns,
+        :meth:`rib`'s loop filter never does.
+        """
         nh = self._nh
-        hops = [x]
-        cur = i
+        dest = self._dest_idx
         limit = self.csr.n_nodes + 1
-        while cur != self._dest_idx:
-            cur = int(nh[cur])
+        hops = [i]
+        cur = i
+        while cur != dest:
+            cur = nh.item(cur)
             if cur < 0:  # same corrupted-state guard as next_hop()
                 raise RoutingError(
                     f"inconsistent routing state: default path from AS {x} "
-                    f"toward {self.dest} dead-ends at AS {hops[-1]}"
+                    f"toward {self.dest} dead-ends at AS "
+                    f"{self.csr.asns.item(hops[-1])}"
                 )
-            hops.append(int(asns[cur]))
+            hops.append(cur)
             if len(hops) > limit:  # a from_state() payload can hold a cycle
                 raise RoutingError(
                     f"inconsistent routing state: default-path loop from AS {x} "
-                    f"toward {self.dest}: {hops[:16]}..."
+                    f"toward {self.dest}: {self.csr.asns[hops[:16]].tolist()}..."
                 )
-        path = tuple(hops)
-        self._path_cache[x] = path
-        return path
+        return hops
 
     def rib(self, x: int, *, loop_filter: bool = True) -> tuple[RibEntry, ...]:
         """The multi-neighbor Adj-RIB-In of ``x`` toward the destination.
 
         Same semantics (and same :class:`~repro.bgp.propagation.RibEntry`
-        entries) as the dict backend.
+        entries) as the dict backend, derived in one pass over ``x``'s CSR
+        neighbour slice: each neighbour's class and relationship pick its
+        sort-key base (:func:`_announce_keys`), its exported length is
+        added, and one stable sort orders the announcers — the slice
+        ascends by AS number, so that is :attr:`RibEntry.selection_key`.
+        The loop filter walks each announcer's default path, reading the
+        path memo but never adding to it: a read that memoised every
+        neighbour's path would grow a long-lived view by all of them.
         """
         if x == self.dest:
             return ()
@@ -472,28 +534,47 @@ class ArrayDestinationRouting:
             if cached is not None:
                 return cached
         i = self._idx(x)
-        asns = self.csr.asns
-        cls = self._class
-        export = self._export
-        entries: list[RibEntry] = []
-        nbr_idx, nbr_rel = self.csr.neighbors_of(i)
-        for j, rel_code in zip(nbr_idx.tolist(), nbr_rel.tolist()):
-            code = cls[j]
-            if code == _UNREACHABLE:
-                continue  # neighbor has no route at all
-            rel = Relationship(rel_code)
-            learned = None if code == _DEST else Relationship(int(code))
-            if not export_allowed(learned, invert(rel)):
-                continue
-            nb = int(asns[j])
-            if loop_filter and nb != self.dest and x in self.best_path(nb):
-                continue
-            entries.append(RibEntry(nb, int(export[j]) + 1, rel))
-        entries.sort(key=lambda e: e.selection_key)
-        result = tuple(entries)
+        csr = self.csr
+        lo, hi = csr.nbr_indptr[i], csr.nbr_indptr[i + 1]
+        nbr = csr.nbr_indices[lo:hi]
+        key = _ANNOUNCE_KEYS[self._class[nbr].view(np.uint8), csr.nbr_rel[lo:hi]]
+        key += self._export[nbr]
+        order = key.argsort(kind="stable")
+        keys = key[order].tolist()
+        if keys and keys[-1] >= _CORRUPT:
+            j = nbr.item(order[-1])
+            raise RoutingError(
+                f"inconsistent routing state: neighbour AS {csr.asns.item(j)} of "
+                f"AS {x} holds class code {self._class.item(j)} toward {self.dest}"
+            )
+        kept = nbr[order[: bisect_left(keys, _SILENT)]].tolist()
+        looped: set[int] = set()
+        if loop_filter:
+            # In CSR order, as the dict backend walks them: a corrupted
+            # state raises the same error, from the same neighbour.
+            looped = {j for j in sorted(kept) if self._passes_through(j, x, i)}
+        asns = csr.asns
+        result = tuple(
+            [
+                RibEntry(asns.item(j), k % _REL_STRIDE + 1, _RELS[k // _REL_STRIDE])
+                for j, k in zip(kept, keys)
+                if j not in looped
+            ]
+        )
         if loop_filter:
             self._rib_cache[x] = result
         return result
+
+    def _passes_through(self, j: int, x: int, i: int) -> bool:
+        """Whether the default path of neighbour ``j`` (dense) runs through
+        AS ``x`` (dense ``i``) — BGP's AS-path import filter."""
+        if j == self._dest_idx:
+            return False
+        nb = self.csr.asns.item(j)
+        path = self._path_cache.get(nb)
+        if path is not None:
+            return x in path
+        return i in self._walk(nb, j)
 
     def alternatives(self, x: int) -> tuple[RibEntry, ...]:
         """RIB entries other than the default route — MIFO's alt candidates."""

@@ -10,15 +10,15 @@ paths each scheme can realize:
   MIFO-capable AS may deflect to any Tag-Check-permitted RIB alternative
   and every AS may use its default next hop.
 
-The MIFO count is computed by dynamic programming over states
-``(AS, tag_bit)``.  The move relation is acyclic: moves out of a
-``bit=1`` state either climb the (acyclic) provider hierarchy, keeping
-``bit=1``, or drop to ``bit=0``; moves out of a ``bit=0`` state strictly
-descend customer edges.  Hence memoized DFS terminates and counts exactly
-— no sampling, no approximation.  (Walks may legitimately visit one AS
-twice — once climbing, once descending — see
-:mod:`repro.mifo.deflection`; they are counted as distinct paths, as the
-data plane would indeed realize them.)
+The MIFO count is a memoised depth-first search over states
+``(AS, tag_bit)``: a state's count is the sum of its successors' counts.
+The move relation is acyclic: moves out of a ``bit=1`` state either climb
+the (acyclic) provider hierarchy, keeping ``bit=1``, or drop to
+``bit=0``; moves out of a ``bit=0`` state strictly descend customer
+edges.  Hence the search terminates and counts exactly — no sampling, no
+approximation.  (Walks may legitimately visit one AS twice — once
+climbing, once descending — see :mod:`repro.mifo.deflection`; they are
+counted as distinct paths, as the data plane would indeed realize them.)
 """
 
 from __future__ import annotations
@@ -34,6 +34,8 @@ from ..topology.asgraph import ASGraph
 from ..topology.relationships import Relationship
 
 __all__ = ["count_bgp_paths", "count_mifo_paths", "DiversityResult", "diversity_counts"]
+
+_PROVIDER = Relationship.PROVIDER
 
 
 def count_bgp_paths(routing_cache: RoutingCache, src: int, dst: int) -> int:
@@ -56,6 +58,12 @@ def count_mifo_paths(
     ``max_count`` optionally clamps the result (counts can reach many
     thousands on well-connected pairs — the paper's Fig. 7 saturates its
     axis at 10^4).
+
+    A memoised depth-first search over ``(AS, tag_bit)`` states.  The tag
+    bit set on entering ``v`` from ``u`` is 1 exactly when ``v`` is
+    ``u``'s provider, which the routing view already says: the RIB
+    entry's relationship for an alternative, the route's class for the
+    default hop.
     """
     routing = routing_cache(dst)
     if not routing.has_route(src):
@@ -73,7 +81,7 @@ def count_mifo_paths(
         total = 0
         default_nh = routing.next_hop(u)
         # Default forwarding is always available.
-        total += visit(default_nh, _bit_at(graph, default_nh, u))
+        total += visit(default_nh, routing.best_class(u) is _PROVIDER)
         # Capable ASes may deflect to Tag-Check-permitted alternatives.
         if u in capable:
             for entry in routing.rib(u):
@@ -81,7 +89,7 @@ def count_mifo_paths(
                 if v == default_nh:
                     continue
                 if check_bit(bit, entry.relationship):
-                    total += visit(v, _bit_at(graph, v, u))
+                    total += visit(v, entry.relationship is _PROVIDER)
         if max_count is not None and total > max_count:
             total = max_count
         memo[key] = total
@@ -89,11 +97,6 @@ def count_mifo_paths(
 
     # The source originates the packet: bit semantics of "own traffic".
     return visit(src, True)
-
-
-def _bit_at(graph: ASGraph, node: int, upstream: int) -> bool:
-    """Tag bit assigned when a packet enters ``node`` from ``upstream``."""
-    return graph.relationship(node, upstream) is Relationship.CUSTOMER
 
 
 @dataclasses.dataclass(frozen=True)

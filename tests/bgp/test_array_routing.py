@@ -19,10 +19,11 @@ from repro.bgp.array_routing import (
     compute_array_routings,
     converge_block,
 )
-from repro.bgp.propagation import compute_routing
-from repro.errors import NoRouteError, TopologyError
+from repro.bgp.propagation import RibEntry, compute_routing
+from repro.errors import NoRouteError, RoutingError, TopologyError
 from repro.topology.asgraph import ASGraph
 from repro.topology.generator import TopologyConfig, generate_topology
+from repro.topology.relationships import Relationship, export_allowed, invert
 
 SEEDS = (2014, 7, 99)
 
@@ -73,6 +74,9 @@ class TestCrossValidation:
         for entry in array.rib(src):
             assert type(entry.neighbor) is int
             assert type(entry.length) is int
+            # IntEnum equality would pass a plain int; check_bit and
+            # tag_for_upstream compare relationships with ``is``.
+            assert type(entry.relationship) is Relationship
         nh = array.next_hop(src)
         assert nh is None or type(nh) is int
         assert type(array.best_len(src)) is int
@@ -230,6 +234,83 @@ class TestBlockKernelProperties:
         state = converge_block(g.csr(), [])
         assert [a.shape for a in state] == [(0, 2)] * 5
         assert compute_array_routings(g, []) == {}
+
+
+def _outcome(query):
+    try:
+        return query()
+    except RoutingError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _neighbour_loop_rib(view, x):
+    """``view.rib(x)`` as a loop over the neighbours in ASN order, with the
+    import filter asked of ``best_path``; a ``RoutingError`` as its text."""
+
+    def rib():
+        if x == view.dest:
+            return ()
+        entries = []
+        for nb, rel in sorted(view.graph.neighbors(x).items()):
+            if not view.has_route(nb):
+                continue
+            if not export_allowed(view.best_class(nb), invert(rel)):
+                continue
+            if nb != view.dest and x in view.best_path(nb):
+                continue
+            entries.append(RibEntry(nb, view.best_len(nb) + 1, rel))
+        return tuple(sorted(entries, key=lambda e: e.selection_key))
+
+    return _outcome(rib)
+
+
+class TestColdRib:
+    """``rib`` on a fresh view: no ``best_path`` call has warmed the path
+    memo first (``_assert_matches_oracle`` always makes one), and ``rib``
+    itself must leave the memo as it found it — the views' read memo is
+    what ``path_query_10k``'s peak RSS measures."""
+
+    @given(st.data(), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_rib_first_in_shuffled_order_matches_the_oracle(self, data, cyclic):
+        g = data.draw(hierarchies(cyclic=cyclic))
+        order = data.draw(st.permutations(sorted(g.nodes())))
+        for dest, view in compute_array_routings(g, sorted(g.nodes())).items():
+            oracle = compute_routing(g, dest)
+            for x in order:
+                assert view.rib(x) == oracle.rib(x)
+                assert view.rib(x, loop_filter=False) == oracle.rib(x, loop_filter=False)
+            assert view._path_cache == {}
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_a_rewritten_next_hop_fails_rib_as_the_neighbour_loop_did(self, data):
+        # The per-neighbour loop asked ``x in best_path(nb)`` of every
+        # announcing neighbour in ASN order, so a corrupted next-hop row
+        # raised from the first neighbour whose walk hit it — same text.
+        g = data.draw(hierarchies(cyclic=data.draw(st.booleans())))
+        nodes = sorted(g.nodes())
+        dest = data.draw(st.sampled_from(nodes))
+        state = [a.copy() for a in compute_array_routing(g, dest).state()]
+        cell = data.draw(st.integers(0, len(nodes) - 1))
+        state[4][cell] = data.draw(st.integers(-1, len(nodes) - 1))
+        for x in data.draw(st.permutations(nodes)):
+            view = ArrayDestinationRouting.from_state(g, dest, tuple(state))
+            assert _outcome(lambda: view.rib(x)) == _neighbour_loop_rib(
+                ArrayDestinationRouting.from_state(g, dest, tuple(state)), x
+            )
+
+    def test_rib_queries_leave_the_path_memo_empty(self, graph_pair):
+        graph = graph_pair
+        views = compute_array_routings(graph, _destinations(graph))
+        for view in views.values():
+            for x in graph.nodes():
+                view.rib(x)
+                view.alternatives(x)
+            assert view._path_cache == {}
+            src = sorted(graph.nodes())[-1]
+            view.best_path(src)
+            assert list(view._path_cache) == [src]  # best_path still memoises
 
 
 class TestPartitionInvariance:

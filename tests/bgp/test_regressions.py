@@ -6,7 +6,9 @@ guards against:
    silently index ``asns[-1]`` (numpy wraparound) and return the *last*
    ASN as a next hop — a wrong answer instead of an error.  (Same family:
    a next-hop *cycle* in such a payload raised a bare ``AssertionError``
-   out of ``best_path`` instead of the typed ``RoutingError``.)
+   out of ``best_path`` instead of the typed ``RoutingError``, and a class
+   cell outside -1..3 a bare ``ValueError`` out of ``rib``, ``best_class``
+   and the verifier.)
 2. The array kernel trusted its dense destination indices: ``-1``
    wrapped to the last AS (``cust[-1] = 0``) and returned a complete,
    plausible table for the wrong destination.
@@ -21,7 +23,10 @@ from repro.bgp.array_routing import (
     converge_block,
 )
 from repro.errors import RoutingError, TopologyError
+from repro.topology.asgraph import ASGraph
 from repro.topology.generator import TopologyConfig, generate_topology
+from repro.topology.relationships import Relationship
+from repro.verify import verify_routing
 
 
 @pytest.fixture(scope="module")
@@ -84,6 +89,39 @@ class TestCorruptedStateGuards:
         )
         with pytest.raises(RoutingError, match="default-path loop"):
             bad.best_path(upstream)
+
+    @pytest.fixture()
+    def unknown_class(self):
+        # On the chain 1 > 2 > 3 (plus 1's stub 4), AS 1's class cell
+        # toward 3 holds 7: no code the kernel writes.
+        g = ASGraph.from_links(p2c=[(1, 2), (2, 3), (1, 4)])
+        routing = compute_array_routing(g, 3)
+        cls = routing.state()[3].copy()
+        cls[g.csr().index[1]] = 7
+        state = (*routing.state()[:3], cls, routing.state()[4])
+        return g, ArrayDestinationRouting.from_state(g, 3, state)
+
+    @pytest.mark.parametrize("x", [4, 2])
+    def test_rib_next_to_an_unknown_class_code_is_a_routing_error(self, unknown_class, x):
+        # AS 1 is 4's provider and 2's: whether its route reaches them
+        # depends on a class the code does not name, so neither RIB may
+        # silently keep or drop it.
+        _, bad = unknown_class
+        with pytest.raises(RoutingError, match="inconsistent routing state.*class code 7"):
+            bad.rib(x)
+        with pytest.raises(RoutingError, match="inconsistent routing state"):
+            bad.rib(x, loop_filter=False)
+
+    def test_best_class_of_an_unknown_class_code_is_a_routing_error(self, unknown_class):
+        _, bad = unknown_class
+        with pytest.raises(RoutingError, match="inconsistent routing state.*class code 7"):
+            bad.best_class(1)
+        assert bad.best_class(2) is Relationship.CUSTOMER
+
+    def test_verifier_reports_an_unknown_class_code_as_a_routing_error(self, unknown_class):
+        g, bad = unknown_class
+        with pytest.raises(RoutingError, match="inconsistent routing state"):
+            verify_routing(g, lambda d: bad, [3])
 
     def test_intact_state_round_trips(self, graph):
         dest = sorted(graph.nodes())[0]

@@ -1,4 +1,4 @@
-"""Tests for the Fig-7 path-diversity counting DP."""
+"""Tests for the Fig-7 path-diversity count (a memoised DFS)."""
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +11,9 @@ from repro.metrics.diversity import (
     count_mifo_paths,
     diversity_counts,
 )
+from repro.mifo.tag import check_bit
 from repro.miro.negotiation import MiroRouting
+from repro.topology.relationships import Relationship
 
 from ..conftest import as_graphs
 
@@ -89,6 +91,9 @@ class TestMifoCount:
         )
         n = count_mifo_paths(g, rc, capable, src, dst)
         assert n >= 1  # at least the default path
+        assert n == _reference_count(g, rc, capable, src, dst)
+        array = RoutingCache(g, backend="array")
+        assert count_mifo_paths(g, array, capable, src, dst) == n
 
     @given(g=as_graphs(max_nodes=9))
     @settings(max_examples=40, deadline=None)
@@ -115,3 +120,35 @@ class TestDiversityCounts:
         assert len(mifo_counts) == len(miro_counts) == 3
         # MIFO's multiplicative diversity dominates MIRO's bounded list.
         assert sum(mifo_counts) >= sum(miro_counts)
+        array = RoutingCache(small_internet, backend="array")
+        assert diversity_counts(
+            small_internet,
+            array,
+            pairs,
+            mifo_capable=capable,
+            miro_routing=MiroRouting(small_internet, array, capable),
+        ) == (mifo_counts, miro_counts)
+
+
+def _reference_count(graph, routing_cache, capable, src, dst):
+    """The count with every tag bit read off ``graph.relationship`` instead
+    of the routing view: the bit on entering ``v`` from ``u`` is set iff
+    ``u`` is ``v``'s customer."""
+    routing = routing_cache(dst)
+
+    def visit(u, bit):
+        if u == dst:
+            return 1
+        default_nh = routing.next_hop(u)
+        moves = [default_nh]
+        if u in capable:
+            moves += [
+                e.neighbor
+                for e in routing.rib(u)
+                if e.neighbor != default_nh and check_bit(bit, e.relationship)
+            ]
+        return sum(
+            visit(v, graph.relationship(v, u) is Relationship.CUSTOMER) for v in moves
+        )
+
+    return visit(src, True)
