@@ -435,7 +435,8 @@ class ScenarioEngine:
     def fail_link(self, u: int, v: int) -> EventEffect:
         """Remove link ``u``–``v``; remembers it for later recovery."""
         rel = self.graph.relationship(u, v)
-        new_graph = without_link(self.graph, u, v)
+        with tm.span("topology.derive"):
+            new_graph = without_link(self.graph, u, v)
         dirty = self.routing.advance(new_graph, u, v)
         self.graph = new_graph
         self._failed.append((u, v, rel))
@@ -467,7 +468,8 @@ class ScenarioEngine:
             if pos is None:
                 raise ConfigError(f"link {u}-{v} is not currently failed")
             fu, fv, rel = self._failed.pop(pos)
-        new_graph = with_link(self.graph, fu, fv, rel)
+        with tm.span("topology.derive"):
+            new_graph = with_link(self.graph, fu, fv, rel)
         dirty = self.routing.advance(new_graph, fu, fv)
         self.graph = new_graph
         lo, hi = (fu, fv) if fu <= fv else (fv, fu)

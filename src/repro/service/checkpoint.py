@@ -250,9 +250,23 @@ def _restore_engine(
     graph = session._base_graph
     failed: list[tuple[int, int, Relationship]] = []
     for u, v, rel_name in es["failed"]:
-        rel = Relationship[rel_name]
-        graph = without_link(graph, int(u), int(v))
-        failed.append((int(u), int(v), rel))
+        u, v = int(u), int(v)
+        # The stack must name links of the replayed graph with the
+        # relationship they carry there, or a later recover_link would
+        # re-add a different link than the one that failed.
+        where = f"checkpoint failed-link stack: link {u}-{v}"
+        rel = Relationship.__members__.get(rel_name) if isinstance(rel_name, str) else None
+        if rel is None:
+            raise ConfigError(f"{where} has unknown relationship {rel_name!r}")
+        if not graph.are_adjacent(u, v):
+            raise ConfigError(f"{where} is not a link of the topology")
+        actual = graph.relationship(u, v)
+        if actual is not rel:
+            raise ConfigError(
+                f"{where} is recorded as {rel.name} but the topology has {actual.name}"
+            )
+        graph = without_link(graph, u, v)
+        failed.append((u, v, rel))
     eng.graph = graph
     eng._failed = failed
     # 2. Routing: a fresh cache over the live graph, views recomputed for

@@ -15,6 +15,7 @@ never re-derives them.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 from collections.abc import Iterable, Iterator
 
@@ -151,8 +152,10 @@ class CsrAdjacency:
     peers) plus one combined structure carrying the relationship code of
     each neighbor (as seen from the row node).
 
-    Built once per frozen graph (see :meth:`ASGraph.csr`) and shared
-    read-only by every destination computation.
+    Built once per frozen graph (see :meth:`ASGraph.csr`), or spliced
+    from the parent's for a graph derived by one link event, and shared
+    read-only by every destination computation.  Every array is
+    read-only: derived graphs share the ones an event leaves alone.
     """
 
     asns: np.ndarray  #: int64[n] dense index -> AS number (ascending)
@@ -213,6 +216,11 @@ def _build_class_csr(
     return indptr, indices
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
 def _build_csr(graph: "ASGraph") -> CsrAdjacency:
     asns = np.array(sorted(graph.nodes()), dtype=np.int64)
     index = {int(a): i for i, a in enumerate(asns)}
@@ -236,18 +244,49 @@ def _build_csr(graph: "ASGraph") -> CsrAdjacency:
             nbr_indices[lo + k] = v
             nbr_rel[lo + k] = int(rel)
     return CsrAdjacency(
-        asns=asns,
+        asns=_read_only(asns),
         index=index,
-        cust_indptr=cust[0],
-        cust_indices=cust[1],
-        prov_indptr=prov[0],
-        prov_indices=prov[1],
-        peer_indptr=peer[0],
-        peer_indices=peer[1],
-        nbr_indptr=nbr_indptr,
-        nbr_indices=nbr_indices,
-        nbr_rel=nbr_rel,
+        cust_indptr=_read_only(cust[0]),
+        cust_indices=_read_only(cust[1]),
+        prov_indptr=_read_only(prov[0]),
+        prov_indices=_read_only(prov[1]),
+        peer_indptr=_read_only(peer[0]),
+        peer_indices=_read_only(peer[1]),
+        nbr_indptr=_read_only(nbr_indptr),
+        nbr_indices=_read_only(nbr_indices),
+        nbr_rel=_read_only(nbr_rel),
     )
+
+
+def _edited(row: list[int], x: int, add: bool) -> list[int]:
+    """A sorted copy of ``row`` with ``x`` inserted or removed."""
+    out = list(row)
+    if add:
+        bisect.insort(out, x)
+    else:
+        out.remove(x)
+    return out
+
+
+def _splice_csr(
+    indptr: np.ndarray, indices: np.ndarray, edits: tuple[tuple[int, int], ...], add: bool
+) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """A CSR structure with each ``(row, column)`` of ``edits`` inserted or
+    deleted, plus the positions it spliced at, for parallel arrays.
+    ``edits`` ascend by row, so two insertions at one position (the end
+    of row ``r`` is the start of row ``r + 1``) land in row order."""
+    pos = [
+        int(indptr[r]) + int(np.searchsorted(indices[indptr[r] : indptr[r + 1]], c))
+        for r, c in edits
+    ]
+    if add:
+        spliced = np.insert(indices, pos, [c for _, c in edits])
+    else:
+        spliced = np.delete(indices, pos)
+    new_indptr = indptr.copy()
+    for r, _ in edits:
+        new_indptr[r + 1 :] += 1 if add else -1
+    return _read_only(new_indptr), _read_only(spliced), pos
 
 
 class ASGraph:
@@ -369,13 +408,110 @@ class ASGraph:
 
         Built lazily on first use and cached; the arrays are shared
         read-only by every array-backend view, so paper-scale graphs pay
-        the construction cost exactly once.
+        the construction cost exactly once.  A graph derived by one link
+        event comes with its CSR already spliced from its parent's.
         """
         if not self._frozen:
             raise TopologyError("freeze() the graph before building CSR arrays")
         if self._csr is None:
             self._csr = _build_csr(self)
         return self._csr
+
+    def _splice_link(
+        self, parent: "ASGraph", u: int, v: int, rel_of_v: Relationship | None
+    ) -> "ASGraph":
+        """Become ``parent`` with the link ``u``–``v`` added (``rel_of_v`` is
+        ``v`` seen from ``u``) or removed (``rel_of_v`` is ``None``), frozen.
+
+        Called on a fresh graph; the caller has checked the endpoints and
+        that the link is absent (add) or present (remove).  Frozen graphs
+        never mutate, so everything the link does not touch is shared with
+        ``parent``: the unchanged row dicts and class lists, ``asns`` and
+        ``index``, the untouched class CSR and, for a peering, the pull
+        schedule.  The two endpoint rows are rebuilt in ascending ASN
+        order, ``links()`` changes by one bisect, and each touched CSR
+        gets one ``np.insert`` / ``np.delete`` per row — O(degree) Python
+        plus O(links) ``memmove`` instead of a rebuild.
+        """
+        if not parent._frozen:
+            raise TopologyError("freeze() the graph before deriving from it")
+        add = rel_of_v is not None
+        rel = rel_of_v if rel_of_v is not None else parent._nbr[u][v]
+        lo, hi, rel_lo = (u, v, rel) if u < v else (v, u, invert(rel))
+        # One link (lo, hi): row lo gains/loses hi with code rel_lo, and
+        # row hi gains/loses lo with the inverse code.
+        nbr = dict(parent._nbr)
+        for x, y, r in ((lo, hi, rel_lo), (hi, lo, invert(rel_lo))):
+            row = dict(parent._nbr[x])
+            if add:
+                row[y] = r
+            else:
+                del row[y]
+            nbr[x] = dict(sorted(row.items()))
+        links = list(parent.links())
+        at = bisect.bisect_left(links, (lo, hi, rel_lo))
+        if add:
+            links.insert(at, (lo, hi, rel_lo))
+        else:
+            del links[at]
+
+        csr = parent.csr()
+        a, b = csr.index[lo], csr.index[hi]
+        both = ((a, b), (b, a))
+        nbr_indptr, nbr_indices, pos = _splice_csr(
+            csr.nbr_indptr, csr.nbr_indices, both, add
+        )
+        codes = [int(rel_lo), int(invert(rel_lo))]
+        nbr_rel = np.insert(csr.nbr_rel, pos, codes) if add else np.delete(csr.nbr_rel, pos)
+        customers, providers, peers = parent._customers, parent._providers, parent._peers
+        cust = csr.cust_indptr, csr.cust_indices
+        prov = csr.prov_indptr, csr.prov_indices
+        peer = csr.peer_indptr, csr.peer_indices
+        if rel_lo is Relationship.PEER:
+            peers = dict(peers)
+            for x, y in ((lo, hi), (hi, lo)):
+                peers[x] = _edited(peers[x], y, add)
+            peer = _splice_csr(*peer, both, add)[:2]
+        else:
+            (p, c), (pi, ci) = (
+                ((lo, hi), (a, b)) if rel_lo is Relationship.CUSTOMER else ((hi, lo), (b, a))
+            )
+            customers, providers = dict(customers), dict(providers)
+            customers[p] = _edited(customers[p], c, add)
+            providers[c] = _edited(providers[c], p, add)
+            cust = _splice_csr(*cust, ((pi, ci),), add)[:2]
+            prov = _splice_csr(*prov, ((ci, pi),), add)[:2]
+        child = CsrAdjacency(
+            asns=csr.asns,
+            index=csr.index,
+            cust_indptr=cust[0],
+            cust_indices=cust[1],
+            prov_indptr=prov[0],
+            prov_indices=prov[1],
+            peer_indptr=peer[0],
+            peer_indices=peer[1],
+            nbr_indptr=nbr_indptr,
+            nbr_indices=nbr_indices,
+            nbr_rel=_read_only(nbr_rel),
+        )
+        # A peering leaves the provider hierarchy, hence the schedule, as
+        # it was; a provider-customer change re-levels it, and its cycle
+        # flag is the acyclicity check freeze() makes from scratch.
+        schedule = (
+            csr.pull_schedule
+            if rel_lo is Relationship.PEER
+            else _build_pull_schedule(child)
+        )
+        if schedule.cyclic:
+            raise TopologyError("provider-customer hierarchy contains a cycle")
+        object.__setattr__(child, "_pull_schedule", schedule)
+
+        self._nbr = nbr
+        self._customers, self._providers, self._peers = customers, providers, peers
+        self._links = links
+        self._csr = child
+        self._frozen = True
+        return self
 
     def __len__(self) -> int:
         return len(self._nbr)

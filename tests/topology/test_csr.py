@@ -1,10 +1,13 @@
 """The CSR adjacency view frozen graphs expose for the array backend."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.errors import TopologyError
 from repro.topology.asgraph import ASGraph
+from repro.topology.dynamics import without_link
 from repro.topology.generator import TopologyConfig, generate_topology
 from repro.topology.relationships import Relationship
 
@@ -51,6 +54,20 @@ class TestCsr:
                 int(asns[j]): Relationship(int(r)) for j, r in zip(nbrs, rels)
             }
             assert seen == graph.neighbors(int(asns[i]))
+
+    @pytest.mark.parametrize("derived", [False, True], ids=["base", "derived"])
+    def test_arrays_are_read_only(self, graph, derived):
+        # Derived graphs share arrays with their parent, so one in-place
+        # write would corrupt every graph of a timeline.
+        if derived:
+            u, v, _ = graph.links()[len(graph.links()) // 2]
+            graph = without_link(graph, u, v)
+        csr = graph.csr()
+        for field in dataclasses.fields(csr):
+            arr = getattr(csr, field.name)
+            if isinstance(arr, np.ndarray):
+                with pytest.raises(ValueError, match="read-only"):
+                    arr.fill(0)
 
     def test_edge_counts_consistent(self, graph):
         csr = graph.csr()
