@@ -8,9 +8,10 @@ the default next hop, the congestion state that triggered (or didn't
 trigger) a deflection, every RIB candidate with its valley-free verdict,
 and the greedy pick.
 
-This is a diagnostic layer only: it calls the same
-:class:`~repro.mifo.deflection.MifoPathBuilder` primitives the simulators
-use, so what it prints is what the data plane does.
+This is a diagnostic layer only: it takes each choice from the same
+:meth:`~repro.mifo.deflection.MifoPathBuilder.select_alternative` the
+simulators' walk uses, and stops where that walk stops, so what it prints
+is what the data plane does.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import dataclasses
 from collections.abc import Callable
 
-from .errors import NoRouteError
+from .errors import LoopDetectedError, NoRouteError
 from .mifo.deflection import MifoPathBuilder
 from .mifo.tag import check_bit, tag_for_upstream
 from .topology.asgraph import ASGraph
@@ -121,7 +122,13 @@ def explain_path(
     congested: CongestedFn,
     spare: SpareFn,
 ) -> PathExplanation:
-    """Re-run the deflection walk, recording every decision it makes."""
+    """Re-run the deflection walk, recording every decision it makes.
+
+    Raises what :meth:`MifoPathBuilder.build_path` raises, where it
+    raises it: :class:`NoRouteError` for an unroutable source and
+    :class:`LoopDetectedError` at the first repeated directed link
+    (reachable only with Tag-Check off).
+    """
     graph: ASGraph = builder.graph
     routing = builder.routing(dst)
     if not routing.has_route(src):
@@ -129,12 +136,13 @@ def explain_path(
 
     hops: list[HopExplanation] = []
     path = [src]
+    used_links: set[tuple[int, int]] = set()
     upstream: int | None = None
     u = src
     deflections = 0
     limit = 2 * len(graph) + 2
 
-    while u != dst and len(path) <= limit:
+    while u != dst:
         nh = routing.next_hop(u)
         is_congested = congested(u, nh)
         capable = u in builder.capable
@@ -144,7 +152,7 @@ def explain_path(
         deflect_to: int | None = None
         candidates: list[CandidateVerdict] = []
         if is_congested and capable:
-            deflect_to, _ = builder._pick_alternative(
+            deflect_to = builder.select_alternative(
                 routing, u, upstream, nh, congested, spare
             )
             for entry in routing.rib(u):
@@ -177,8 +185,13 @@ def explain_path(
         nxt = deflect_to if deflect_to is not None else nh
         if deflect_to is not None:
             deflections += 1
+        if (u, nxt) in used_links:
+            raise LoopDetectedError(path + [nxt])
+        used_links.add((u, nxt))
         upstream, u = u, nxt
         path.append(u)
+        if len(path) > limit:
+            raise LoopDetectedError(path)
 
     return PathExplanation(
         src=src,

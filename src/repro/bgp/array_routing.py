@@ -49,7 +49,6 @@ around the graph.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections.abc import Iterable, Sequence
 
 import numpy as np
@@ -84,37 +83,39 @@ _STATE_DTYPES = (np.int32, np.int32, np.int32, np.int8, np.int32)
 #: and their ``relationship`` must be the enum member itself.
 _RELS = (Relationship.CUSTOMER, Relationship.PEER, Relationship.PROVIDER)
 
-#: A RIB sort key is ``rel * _REL_STRIDE + exported length``: every length
-#: fits below the stride, so keys order by relationship, then length.
-_REL_STRIDE = 1 << 32
-#: Key base of a neighbour that announces nothing to the RIB owner.
-_SILENT = 3 * _REL_STRIDE
-#: Key base of a class code the kernel never writes; sorts after the rest.
-_CORRUPT = 4 * _REL_STRIDE
+#: Floor of a neighbour whose class code the kernel never writes: below
+#: every relationship code, so no reader can pass it over silently.
+_CORRUPT = -1
+#: Floor of an unreachable neighbour: above every relationship code.
+_SILENT = len(_RELS)
 
 
-def _announce_keys() -> np.ndarray:
-    """Sort-key base of a neighbour's announcement to the RIB owner.
+def _announce_floor() -> np.ndarray:
+    """Whether a neighbour's route reaches the RIB owner, as a floor.
 
-    Indexed by the neighbour's class code read as ``uint8`` (so unreachable
-    ``-1`` is row 255 and every other ``int8`` code has a row of its own)
-    and by the neighbour's relationship code as seen from the owner.  The
-    Gao–Rexford export rule, :func:`export_allowed`, decides: a customer
-    route, or the destination's own prefix, goes to everyone; any other
-    route only to a customer — an owner whose *provider* the neighbour is.
+    Indexed by the neighbour's class code (``take`` wraps a negative
+    ``int8`` code, so unreachable ``-1`` is entry 255 and every code has an
+    entry of its own).  The route reaches the owner exactly when the
+    neighbour's relationship code, as seen from the owner, is at least
+    the floor.  The Gao–Rexford export rule, :func:`export_allowed`,
+    decides: a customer route, or the destination's own prefix, goes to
+    everyone (floor 0); any other route only to a customer — an owner
+    whose *provider* the neighbour is (floor 2).  That every code's
+    audience is such an up-set is checked here, once.
     """
-    keys = np.full((256, 3), _CORRUPT, dtype=np.int64)
-    keys[_UNREACHABLE] = _SILENT  # row -1 is row 255
+    floor = np.full(256, _CORRUPT, dtype=np.int8)
+    floor[_UNREACHABLE] = _SILENT  # entry -1 is entry 255
     # codes 0..2 are routes learned from that class, 3 (_DEST) the origin
     for code, learned in enumerate((*_RELS, None)):
-        for rel in _RELS:
-            ok = export_allowed(learned, invert(rel))
-            keys[code, rel] = rel * _REL_STRIDE if ok else _SILENT
-    keys.flags.writeable = False
-    return keys
+        heard = [export_allowed(learned, invert(rel)) for rel in _RELS]
+        low = heard.index(True)
+        assert all(heard[low:]), "an export audience is not an up-set"
+        floor[code] = low
+    floor.flags.writeable = False
+    return floor
 
 
-_ANNOUNCE_KEYS = _announce_keys()
+_ANNOUNCE_FLOOR = _announce_floor()
 
 #: Node-rows (destinations x ASes) one kernel pass may hold.  A pass keeps
 #: ~25 bytes per node-row live (the five result rows, the scratch table
@@ -461,11 +462,12 @@ class ArrayDestinationRouting:
         if code == _DEST:
             return None
         hop = int(self._nh[i])
-        if hop < 0:
-            # A reachable class with the no-hop sentinel means the result
-            # arrays disagree (possible only via a corrupted from_state()
-            # payload).  Without this guard the -1 would silently index
-            # the *last* ASN — a wrong answer instead of an error.
+        if not 0 <= hop < len(self._nh):
+            # A reachable class with the no-hop sentinel (or any index
+            # past the last AS) means the result arrays disagree — possible
+            # only via a corrupted from_state() payload.  Without this guard
+            # the -1 would silently index the *last* ASN — a wrong answer
+            # instead of an error.
             raise RoutingError(
                 f"inconsistent routing state: AS {x} is reachable toward "
                 f"{self.dest} but has no next hop"
@@ -495,12 +497,13 @@ class ArrayDestinationRouting:
         """
         nh = self._nh
         dest = self._dest_idx
-        limit = self.csr.n_nodes + 1
+        n = len(nh)
+        limit = n + 1
         hops = [i]
         cur = i
         while cur != dest:
             cur = nh.item(cur)
-            if cur < 0:  # same corrupted-state guard as next_hop()
+            if not 0 <= cur < n:  # same corrupted-state guard as next_hop()
                 raise RoutingError(
                     f"inconsistent routing state: default path from AS {x} "
                     f"toward {self.dest} dead-ends at AS "
@@ -518,11 +521,9 @@ class ArrayDestinationRouting:
         """The multi-neighbor Adj-RIB-In of ``x`` toward the destination.
 
         Same semantics (and same :class:`~repro.bgp.propagation.RibEntry`
-        entries) as the dict backend, derived in one pass over ``x``'s CSR
-        neighbour slice: each neighbour's class and relationship pick its
-        sort-key base (:func:`_announce_keys`), its exported length is
-        added, and one stable sort orders the announcers — the slice
-        ascends by AS number, so that is :attr:`RibEntry.selection_key`.
+        entries) as the dict backend, derived from one pass over ``x``'s
+        CSR neighbour slice (:meth:`announcers`), sorted by relationship,
+        exported length and AS number — :attr:`RibEntry.selection_key`.
         The loop filter walks each announcer's default path, reading the
         path memo but never adding to it: a read that memoised every
         neighbour's path would grow a long-lived view by all of them.
@@ -534,40 +535,60 @@ class ArrayDestinationRouting:
             if cached is not None:
                 return cached
         i = self._idx(x)
-        csr = self.csr
-        lo, hi = csr.nbr_indptr[i], csr.nbr_indptr[i + 1]
-        nbr = csr.nbr_indices[lo:hi]
-        key = _ANNOUNCE_KEYS[self._class[nbr].view(np.uint8), csr.nbr_rel[lo:hi]]
-        key += self._export[nbr]
-        order = key.argsort(kind="stable")
-        keys = key[order].tolist()
-        if keys and keys[-1] >= _CORRUPT:
-            j = nbr.item(order[-1])
-            raise RoutingError(
-                f"inconsistent routing state: neighbour AS {csr.asns.item(j)} of "
-                f"AS {x} holds class code {self._class.item(j)} toward {self.dest}"
-            )
-        kept = nbr[order[: bisect_left(keys, _SILENT)]].tolist()
-        looped: set[int] = set()
+        heard = self.announcers(x, i)
         if loop_filter:
             # In CSR order, as the dict backend walks them: a corrupted
             # state raises the same error, from the same neighbour.
-            looped = {j for j in sorted(kept) if self._passes_through(j, x, i)}
-        asns = csr.asns
+            heard = [(j, r) for j, r in heard if not self.passes_through(j, x, i)]
+        export, asns = self._export, self.csr.asns
+        # dense indices ascend with AS numbers: (rel, length, j) is the
+        # selection key
+        ranked = sorted([(r, export.item(j), j) for j, r in heard])
         result = tuple(
-            [
-                RibEntry(asns.item(j), k % _REL_STRIDE + 1, _RELS[k // _REL_STRIDE])
-                for j, k in zip(kept, keys)
-                if j not in looped
-            ]
+            [RibEntry(asns.item(j), length + 1, _RELS[r]) for r, length, j in ranked]
         )
         if loop_filter:
             self._rib_cache[x] = result
         return result
 
-    def _passes_through(self, j: int, x: int, i: int) -> bool:
+    def cached_rib(self, x: int) -> tuple[RibEntry, ...] | None:
+        """``x``'s loop-filtered RIB if an earlier :meth:`rib` call kept
+        it, else None — a peek that never derives one."""
+        return self._rib_cache.get(x)
+
+    def announcers(self, x: int, i: int) -> list[tuple[int, int]]:
+        """``(dense index, relationship code)`` of every neighbour whose
+        route reaches AS ``x`` (dense ``i``), in CSR (ascending-ASN) order:
+        the RIB's members before the loop filter, unsorted and unbuilt.
+
+        The one home of the announce rule (:func:`_announce_floor`) and of
+        its guard: a neighbour holding a class code the kernel never
+        writes raises :class:`RoutingError` rather than count as either.
+        :meth:`rib` sorts and builds these; a caller that needs only a
+        few of them tests its own conditions first and applies the loop
+        filter, :meth:`passes_through`, to what is left.
+        """
+        csr = self.csr
+        lo, hi = csr.nbr_indptr.item(i), csr.nbr_indptr.item(i + 1)
+        nbr = csr.nbr_indices[lo:hi]
+        rel = csr.nbr_rel[lo:hi]
+        floor = _ANNOUNCE_FLOOR.take(self._class.take(nbr))
+        out: list[tuple[int, int]] = []
+        for p in (floor <= rel).nonzero()[0].tolist():
+            j = nbr.item(p)
+            if floor.item(p) == _CORRUPT:
+                raise RoutingError(
+                    f"inconsistent routing state: neighbour AS {csr.asns.item(j)} "
+                    f"of AS {x} holds class code {self._class.item(j)} toward "
+                    f"{self.dest}"
+                )
+            out.append((j, rel.item(p)))
+        return out
+
+    def passes_through(self, j: int, x: int, i: int) -> bool:
         """Whether the default path of neighbour ``j`` (dense) runs through
-        AS ``x`` (dense ``i``) — BGP's AS-path import filter."""
+        AS ``x`` (dense ``i``) — BGP's AS-path import filter, which
+        :meth:`rib` applies to every announcer."""
         if j == self._dest_idx:
             return False
         nb = self.csr.asns.item(j)

@@ -19,6 +19,10 @@ edges.  Hence the search terminates and counts exactly — no sampling, no
 approximation.  (Walks may legitimately visit one AS twice — once
 climbing, once descending — see :mod:`repro.mifo.deflection`; they are
 counted as distinct paths, as the data plane would indeed realize them.)
+A provider ring, which only a graph frozen with
+``require_acyclic_hierarchy=False`` can hold, breaks that argument: the
+search then raises :class:`~repro.errors.LoopDetectedError` naming the
+ring, on either routing backend.
 """
 
 from __future__ import annotations
@@ -27,7 +31,8 @@ import dataclasses
 from collections.abc import Iterable
 
 from ..bgp.propagation import RoutingCache
-from ..errors import NoRouteError
+from ..errors import LoopDetectedError, NoRouteError
+from ..mifo.deflection import default_hops
 from ..mifo.tag import check_bit
 from ..miro.negotiation import MiroRouting
 from ..topology.asgraph import ASGraph
@@ -63,13 +68,18 @@ def count_mifo_paths(
     bit set on entering ``v`` from ``u`` is 1 exactly when ``v`` is
     ``u``'s provider, which the routing view already says: the RIB
     entry's relationship for an alternative, the route's class for the
-    default hop.
+    default hop (:func:`~repro.mifo.deflection.default_hops`, which also
+    refuses a corrupted next hop that is not one hop closer).  A state
+    met again while its own count is open raises
+    :class:`LoopDetectedError` with the ring of ASes that closes it.
     """
     routing = routing_cache(dst)
     if not routing.has_route(src):
         raise NoRouteError(src, dst)
 
     memo: dict[tuple[int, bool], int] = {}
+    open_states: list[tuple[int, bool]] = []
+    default_hop = default_hops(routing)
 
     def visit(u: int, bit: bool) -> int:
         if u == dst:
@@ -77,11 +87,18 @@ def count_mifo_paths(
         key = (u, bit)
         cached = memo.get(key)
         if cached is not None:
+            if cached < 0:
+                # A state met again while its own count is open: a cycle of
+                # moves, which only a provider ring can make.
+                ring = open_states[open_states.index(key) :] + [key]
+                raise LoopDetectedError([v for v, _ in ring])
             return cached
+        memo[key] = -1
+        open_states.append(key)
         total = 0
-        default_nh = routing.next_hop(u)
+        default_nh, default_bit = default_hop(u)
         # Default forwarding is always available.
-        total += visit(default_nh, routing.best_class(u) is _PROVIDER)
+        total += visit(default_nh, default_bit)
         # Capable ASes may deflect to Tag-Check-permitted alternatives.
         if u in capable:
             for entry in routing.rib(u):
@@ -92,6 +109,7 @@ def count_mifo_paths(
                     total += visit(v, entry.relationship is _PROVIDER)
         if max_count is not None and total > max_count:
             total = max_count
+        open_states.pop()
         memo[key] = total
         return total
 

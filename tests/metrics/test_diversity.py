@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bgp.propagation import RoutingCache
-from repro.errors import NoRouteError
+from repro.errors import LoopDetectedError, NoRouteError
 from repro.metrics.diversity import (
     count_bgp_paths,
     count_mifo_paths,
@@ -15,6 +15,7 @@ from repro.mifo.tag import check_bit
 from repro.miro.negotiation import MiroRouting
 from repro.topology.relationships import Relationship
 
+from ..bgp.test_array_routing import hierarchies
 from ..conftest import as_graphs
 
 
@@ -106,6 +107,80 @@ class TestMifoCount:
         full = count_mifo_paths(g, rc, frozenset(nodes), src, dst)
         half = count_mifo_paths(g, rc, frozenset(nodes[: len(nodes) // 2]), src, dst)
         assert full >= half
+
+
+class TestCountsAcrossBackends:
+    """Fig. 7's count is one search over either backend's view: on an
+    array view it equals the dict oracle's, loops included."""
+
+    @given(
+        g=hierarchies(),
+        data=st.data(),
+        max_count=st.sampled_from([None, 1, 2, 3, 10]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_every_pair(self, g, data, max_count):
+        nodes = sorted(g.nodes())
+        capable = frozenset(data.draw(st.lists(st.sampled_from(nodes), unique=True)))
+        oracle, array = RoutingCache(g, backend="dict"), RoutingCache(g, backend="array")
+        for dst in nodes:
+            for src in nodes:
+                if not oracle(dst).has_route(src):
+                    with pytest.raises(NoRouteError):
+                        count_mifo_paths(g, array, capable, src, dst)
+                    continue
+                want = count_mifo_paths(g, oracle, capable, src, dst, max_count=max_count)
+                got = count_mifo_paths(g, array, capable, src, dst, max_count=max_count)
+                assert got == want, (src, dst)
+
+    def test_seeded_internet(self, small_internet):
+        nodes = sorted(small_internet.nodes())
+        capable = frozenset(nodes[::2])
+        oracle = RoutingCache(small_internet, backend="dict")
+        array = RoutingCache(small_internet, backend="array")
+        pairs = [(nodes[-1 - k], nodes[k]) for k in range(0, 60, 3)]
+        want = [count_mifo_paths(small_internet, oracle, capable, s, t) for s, t in pairs]
+        got = [count_mifo_paths(small_internet, array, capable, s, t) for s, t in pairs]
+        assert got == want
+        assert max(want) > 1  # the deflection moves are exercised
+
+    def test_provider_ring_is_a_loop_not_a_recursion_error(self):
+        # 5 > 16, 24 > 16 and the provider ring 34 > 5 > 24 > 34: from 5,
+        # Tag-Check lets the packet climb the ring with its bit kept, so
+        # the walks never end.  Both backends' searches name the loop.
+        from repro.topology.asgraph import ASGraph
+
+        g = ASGraph()
+        for p, c in [(5, 16), (5, 24), (34, 5), (24, 16), (34, 16), (24, 34)]:
+            g.add_p2c(p, c)
+        g.freeze(require_acyclic_hierarchy=False)
+        capable = frozenset(g.nodes())
+        for backend in ("dict", "array"):
+            with pytest.raises(LoopDetectedError, match="forwarding loop detected") as exc:
+                count_mifo_paths(g, RoutingCache(g, backend=backend), capable, 5, 16)
+            ring = exc.value.path
+            assert ring[0] == ring[-1] and set(ring) <= {5, 24, 34}, backend
+
+    @given(g=hierarchies(cyclic=True), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_cyclic_hierarchies(self, g, data):
+        # Equal counts, or a LoopDetectedError naming the same ring from
+        # both backends.
+        nodes = sorted(g.nodes())
+        capable = frozenset(data.draw(st.lists(st.sampled_from(nodes), unique=True)))
+
+        def outcome(cache, src, dst):
+            try:
+                return count_mifo_paths(g, cache, capable, src, dst)
+            except LoopDetectedError as exc:
+                return exc.path
+
+        oracle, array = RoutingCache(g, backend="dict"), RoutingCache(g, backend="array")
+        for dst in nodes:
+            for src in nodes:
+                if oracle(dst).has_route(src):
+                    want = outcome(oracle, src, dst)
+                    assert outcome(array, src, dst) == want, (src, dst)
 
 
 class TestDiversityCounts:

@@ -118,7 +118,8 @@ class TestTheorem:
     """Paper Theorem (Section III-A3), executable form: under arbitrary
     congestion, arbitrary deployment and arbitrary (seeded) greedy
     choices, the MIFO walk always terminates at the destination without
-    repeating a directed link."""
+    repeating a directed link — on both routing backends, whose walks
+    differ (the array walk reads dense rows)."""
 
     @given(
         g=as_graphs(max_nodes=10),
@@ -148,18 +149,19 @@ class TestTheorem:
         capable = frozenset(
             int(x) for x in drng.choice(list(g.nodes()), size=max(1, n // 2), replace=False)
         )
-        builder = MifoPathBuilder(g, RoutingCache(g), capable)
-        routing = builder.routing(dst)
-        if not routing.has_route(src):
-            return
-        out = builder.build_path(
-            src,
-            dst,
-            lambda u, v: (u, v) in congested_links,
-            lambda u, v: float((u * 31 + v) % 97),
-        )
-        assert out.path[0] == src and out.path[-1] == dst
-        links = list(zip(out.path, out.path[1:]))
-        assert len(set(links)) == len(links), f"repeated link in {out.path}"
-        # Walks may revisit at most one node once (up-leg + down-leg).
-        assert len(out.path) <= 2 * n
+        for backend in ("dict", "array"):
+            builder = MifoPathBuilder(g, RoutingCache(g, backend=backend), capable)
+            routing = builder.routing(dst)
+            if not routing.has_route(src):
+                return
+            out = builder.build_path(
+                src,
+                dst,
+                lambda u, v: (u, v) in congested_links,
+                lambda u, v: float((u * 31 + v) % 97),
+            )
+            assert out.path[0] == src and out.path[-1] == dst
+            links = list(zip(out.path, out.path[1:]))
+            assert len(set(links)) == len(links), f"repeated link in {out.path}"
+            # Walks may revisit at most one node once (up-leg + down-leg).
+            assert len(out.path) <= 2 * n

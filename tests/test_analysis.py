@@ -1,11 +1,16 @@
 """Tests for the what-if / explain diagnostics."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis import explain_path
 from repro.bgp.propagation import RoutingCache
-from repro.errors import NoRouteError
+from repro.errors import LoopDetectedError, NoRouteError, ReproError
 from repro.mifo.deflection import MifoPathBuilder
+from tests.bgp.test_array_routing import hierarchies
+
+BACKENDS = ("dict", "array")
 
 
 @pytest.fixture
@@ -84,3 +89,65 @@ class TestExplainPath:
         b = MifoPathBuilder(g, RoutingCache(g), frozenset(g.nodes()))
         with pytest.raises(NoRouteError):
             explain_path(b, 9, 0, never, unit)
+
+
+class TestExplainMatchesTheWalk:
+    """``explain_path`` stops where ``build_path`` stops and takes the
+    choices it takes, on either backend."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_tag_check_off_loop_raises_at_the_repeated_link(self, fig2a_graph, backend):
+        # Every link into AS 0 congested and Tag-Check off: 1 deflects to
+        # its peer 2, which deflects back to 1, which deflects to 2 again.
+        b = MifoPathBuilder(
+            fig2a_graph,
+            RoutingCache(fig2a_graph, backend=backend),
+            frozenset(fig2a_graph.nodes()),
+            tag_check_enabled=False,
+        )
+        congested = lambda u, v: v == 0
+        with pytest.raises(LoopDetectedError) as walked:
+            b.build_path(1, 0, congested, unit)
+        with pytest.raises(LoopDetectedError) as explained:
+            explain_path(b, 1, 0, congested, unit)
+        assert str(explained.value) == str(walked.value)
+        assert explained.value.path == [1, 2, 1, 2]
+
+    @given(
+        g=hierarchies(),
+        data=st.data(),
+        backend=st.sampled_from(BACKENDS),
+        alt_selection=st.sampled_from(["greedy", "first", "random"]),
+        tag_check=st.booleans(),
+        uncongested_only=st.booleans(),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_path_and_deflections_equal_build_path(
+        self, g, data, backend, alt_selection, tag_check, uncongested_only
+    ):
+        nodes = sorted(g.nodes())
+        links = sorted((u, v) for u in nodes for v in g.neighbors(u))
+        hot = frozenset(data.draw(st.lists(st.sampled_from(links), unique=True)) if links else [])
+        spare = {link: float(data.draw(st.integers(0, 2))) for link in links}
+        capable = frozenset(data.draw(st.lists(st.sampled_from(nodes), unique=True)))
+        b = MifoPathBuilder(
+            g,
+            RoutingCache(g, backend=backend),
+            capable,
+            alt_selection=alt_selection,
+            tag_check_enabled=tag_check,
+            deflect_uncongested_only=uncongested_only,
+        )
+        congested = lambda u, v: (u, v) in hot
+        spare_of = lambda u, v: spare[(u, v)]
+        for dst in nodes:
+            for src in nodes:
+                try:
+                    walked = b.build_path(src, dst, congested, spare_of)
+                except ReproError as exc:
+                    with pytest.raises(type(exc)) as explained:
+                        explain_path(b, src, dst, congested, spare_of)
+                    assert str(explained.value) == str(exc)
+                    continue
+                e = explain_path(b, src, dst, congested, spare_of)
+                assert (e.path, e.deflections) == (walked.path, walked.deflections)
