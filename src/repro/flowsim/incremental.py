@@ -106,7 +106,7 @@ class IncrementalMaxMin:
     same configuration, bit for bit).
     """
 
-    #: Checkpoint derivability (mifocheck MC101): restore never serializes
+    #: Checkpoint derivability: restore never serializes
     #: the slab.  ``repro.service.checkpoint`` re-adds every live flow and
     #: replays capacity, which reconstructs all of this bit-identically.
     DERIVABLE: ClassVar[dict[str, str]] = {
@@ -121,12 +121,23 @@ class IncrementalMaxMin:
         "_mult": "slab rebuilt by re-adding captured flow paths",
         "_col_maxlink": "slab rebuilt by re-adding captured flow paths",
         "_n_cols": "slab rebuilt by re-adding captured flow paths",
+        "_free": (
+            "column ids renumber on restore and an emptied list may stay "
+            "under its length; only the per-length count of free columns is "
+            "observable (_intern asks only whether a list is non-empty), and "
+            "free_segments() captures exactly that"
+        ),
         "_path_col": "keyed cache rebuilt by re-adding captured flow paths",
         "_col_path": "keyed cache rebuilt by re-adding captured flow paths",
         "_flow_col": "rebuilt in flow-id order by restore replay",
         "_base_counts": "incidence counts rebuilt by re-adding flows",
         "_max_link": "running max over re-added flow paths",
         "_capacity": "restore replays set_capacity from captured factors",
+        "_tick": (
+            "change counter read only for equality with _solved_tick "
+            "(pending); restore's priming solve leaves pending False, as "
+            "the live solver is between steps"
+        ),
         "_solved_tick": "memo; invalidated on restore, next solve recomputes",
         "_last_rounds": "memo; invalidated on restore, next solve recomputes",
         "_rates": "scratch buffer rebound wholesale by solve()",
@@ -158,16 +169,14 @@ class IncrementalMaxMin:
         self.tol = tol
         self.group_rtol = group_rtol
         # Column slab: flat (link, column) pairs, one per incidence entry.
-        # The "slab-state" markers below *define* mifolint's MF003 slab
-        # protection set (derived by tools.mifocheck, pass MC104).
-        self._slab_rows: np.ndarray = np.zeros(0, dtype=np.int64)  # mifocheck: slab-state
-        self._slab_cols: np.ndarray = np.zeros(0, dtype=np.int64)  # mifocheck: slab-state
-        self._slab_used = 0  # mifocheck: slab-state
+        self._slab_rows: np.ndarray = np.zeros(0, dtype=np.int64)
+        self._slab_cols: np.ndarray = np.zeros(0, dtype=np.int64)
+        self._slab_used = 0
         # Per-column extents into the slab + live multiplicity.
-        self._col_start: np.ndarray = np.zeros(0, dtype=np.int64)  # mifocheck: slab-state
-        self._col_len: np.ndarray = np.zeros(0, dtype=np.int64)  # mifocheck: slab-state
-        self._mult: np.ndarray = np.zeros(0, dtype=np.float64)  # mifocheck: slab-state
-        self._col_maxlink: np.ndarray = np.zeros(0, dtype=np.int64)  # mifocheck: slab-state
+        self._col_start: np.ndarray = np.zeros(0, dtype=np.int64)
+        self._col_len: np.ndarray = np.zeros(0, dtype=np.int64)
+        self._mult: np.ndarray = np.zeros(0, dtype=np.float64)
+        self._col_maxlink: np.ndarray = np.zeros(0, dtype=np.int64)
         self._n_cols = 0
         #: path length -> freed column ids (exact-fit segment recycling).
         self._free: dict[int, list[int]] = {}
@@ -176,7 +185,7 @@ class IncrementalMaxMin:
         #: flow id -> column id (insertion-ordered; drives crosschecks).
         self._flow_col: dict[int, int] = {}
         # Per-link state.
-        self._base_counts: np.ndarray = np.zeros(0, dtype=np.float64)  # mifocheck: slab-state
+        self._base_counts: np.ndarray = np.zeros(0, dtype=np.float64)
         self._max_link = -1
         self._capacity: np.ndarray = np.zeros(0, dtype=np.float64)
         # Memo + reused solve buffers.

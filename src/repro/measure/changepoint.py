@@ -23,6 +23,7 @@ routing backends and across checkpoint restore.
 from __future__ import annotations
 
 import dataclasses
+from typing import ClassVar
 
 from ..errors import ConfigError
 
@@ -200,6 +201,11 @@ class OnlineDetector:
         "_tss_cache",
     )
 
+    DERIVABLE: ClassVar[dict[str, str]] = {
+        "_pelt_dp": "cache over _cp_values, rebuilt lazily by _push_pelt",
+        "_tss_cache": "cache over _cp_values, rebuilt lazily by _push_pelt",
+    }
+
     def __init__(self, config: DetectorConfig | None = None) -> None:
         self.config = config if config is not None else DetectorConfig()
         self.config.validate()
@@ -218,10 +224,10 @@ class OnlineDetector:
         self._cp_baseline: float | None = None
         #: incremental PELT program over the current window — derived
         #: cache, never checkpointed; rebuilt lazily after restore
-        self._pelt_dp: _PeltDP | None = None  # mifocheck: derivable: cache over _cp_values, rebuilt lazily by _push_pelt
+        self._pelt_dp: _PeltDP | None = None
         #: running window sums ``(n, sum, sum_sq)`` backing the O(1)
         #: homogeneity bound — derived cache, never checkpointed
-        self._tss_cache: tuple[int, float, float] | None = None  # mifocheck: derivable: cache over _cp_values, rebuilt lazily by _push_pelt
+        self._tss_cache: tuple[int, float, float] | None = None
 
     def push(self, value: float, epoch: int) -> CpAlarm | None:
         """Observe one sample; return a confirmed alarm or ``None``."""

@@ -193,7 +193,7 @@ class PathRttMonitor:
     restore-then-replay alarms bitwise-identically.
     """
 
-    #: justified non-checkpointed attrs for the MC101 completeness pass
+    #: Checkpoint derivability: attributes restore rebuilds, with why.
     DERIVABLE: ClassVar[dict[str, str]] = {
         "model": (
             "rebuilt from the rtt model config + engine seed at construction; "

@@ -196,12 +196,16 @@ class _SimFlow:
 
     __slots__ = ("flow_id", "src", "dst", "path", "link_ids", "on_alt", "switches", "rate")
 
+    DERIVABLE: ClassVar[dict[str, str]] = {
+        "link_ids": "re-interned from the captured path by restore",
+    }
+
     def __init__(self, flow_id: int, src: int, dst: int) -> None:
         self.flow_id = flow_id
         self.src = src
         self.dst = dst
         self.path: tuple[int, ...] | None = None
-        self.link_ids: list[int] = []  # mifocheck: derivable: re-interned from the captured path by restore
+        self.link_ids: list[int] = []
         self.on_alt = False
         self.switches = 0
         self.rate = 0.0
@@ -217,7 +221,7 @@ class ScenarioEngine:
     :class:`~repro.scenario.events.FlashCrowd`.
     """
 
-    #: Checkpoint derivability (mifocheck MC101): restore reconstructs
+    #: Checkpoint derivability: restore reconstructs
     #: the engine from captured config, then replays failed links and
     #: re-adds captured flows; none of these need serializing.
     DERIVABLE: ClassVar[dict[str, str]] = {

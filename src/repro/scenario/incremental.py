@@ -36,7 +36,7 @@ scenario.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, ClassVar
 
 from .. import telemetry as tm
 from ..bgp.propagation import RoutingView, compute_routings
@@ -73,6 +73,20 @@ class IncrementalRouting:
     on it are mode-independent.
     """
 
+    #: Checkpoint derivability: restore builds a fresh instance over the
+    #: replayed topology and converges every captured destination.
+    DERIVABLE: ClassVar[dict[str, str]] = {
+        "graph": "advance() rebinds it; restore rebuilds the topology",
+        "recompute": "policy recomputed from captured config mode",
+        "_views": (
+            "the destination set and every view's tables round-trip; the "
+            "insertion order does not, and it only orders the destination "
+            "list advance() hands compute_routings, whose per-destination "
+            "result does not depend on that order (tests/bgp/"
+            "test_array_routing.py::TestComputeRoutingsOrder)"
+        ),
+    }
+
     def __init__(
         self,
         graph: ASGraph,
@@ -86,9 +100,9 @@ class IncrementalRouting:
             raise ConfigError(
                 f"recompute policy {recompute!r} not in ('dirty', 'all')"
             )
-        self.graph = graph  # mifocheck: derivable: advance() rebinds it; restore rebuilds the topology
+        self.graph = graph
         self.backend = backend
-        self.recompute = recompute  # mifocheck: derivable: policy recomputed from captured config mode
+        self.recompute = recompute
         self._views: dict[int, RoutingView] = {}
         #: cumulative advance() bookkeeping, surfaced in run provenance.
         self.dests_recomputed = 0

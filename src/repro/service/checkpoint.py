@@ -27,20 +27,28 @@ Rebuild work runs with telemetry deactivated, then the checkpointed
 counter values are re-applied — so restored telemetry counters match an
 uninterrupted run's exactly.  ``to_json`` emits sorted-key JSON: one
 state, one byte sequence.
+
+Restore reads untrusted JSON, so a malformed document — not JSON, a
+missing field, a wrong type, a column whose length disagrees with the
+link list, a flow path that is not a path of the replayed topology, a
+flow id listed twice — is refused with a
+:class:`~repro.errors.ConfigError` naming the field or the flow.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import heapq
 import json
 from collections import deque
+from collections.abc import Iterator
 from typing import Any
 
 import numpy as np
 
 from .. import telemetry as tm
-from ..errors import ConfigError
+from ..errors import ConfigError, ReproError
 from ..scenario.engine import EventRecord, _SimFlow
 from ..scenario.incremental import IncrementalRouting
 from ..telemetry import Telemetry
@@ -183,12 +191,45 @@ def to_json(state: dict[str, Any]) -> str:
     return json.dumps(state, sort_keys=True)
 
 
+@contextlib.contextmanager
+def _field(name: str) -> Iterator[None]:
+    """Refuse whatever reading checkpoint field ``name`` raises — a
+    missing key, a wrong type, a value the rebuild rejects — as one
+    :class:`ConfigError` naming the field."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (LookupError, TypeError, ValueError, AttributeError, ReproError) as exc:
+        raise ConfigError(f"checkpoint field {name} is malformed: {exc!r}") from exc
+
+
+def _column(es: dict[str, Any], name: str, n: int, dtype: type) -> np.ndarray:
+    """A per-link engine column: exactly one entry per interned link."""
+    with _field(f"engine.{name}"):
+        values = np.asarray(es[name], dtype=dtype)
+    if values.shape != (n,):
+        raise ConfigError(
+            f"checkpoint field engine.{name} has shape {values.shape}; "
+            f"engine.links holds {n} links"
+        )
+    return values
+
+
 def _load(source: dict[str, Any] | str) -> dict[str, Any]:
     if isinstance(source, dict):
         state = source
     else:
         with open(source, encoding="utf-8") as fh:
-            state = json.load(fh)
+            try:
+                state = json.load(fh)
+            except ValueError as exc:
+                raise ConfigError(f"checkpoint {source!r} is not JSON: {exc}") from exc
+    if not isinstance(state, dict):
+        raise ConfigError(
+            f"not a {CHECKPOINT_FORMAT} document: the top level is a "
+            f"{type(state).__name__}"
+        )
     if state.get("format") != CHECKPOINT_FORMAT:
         raise ConfigError(
             f"not a {CHECKPOINT_FORMAT} document: format="
@@ -215,9 +256,12 @@ def restore(
     from ..topology.generator import TopologyConfig
 
     state = _load(source)
-    cfg = config_from_dict(ServiceConfig, state["config"])
-    topo = config_from_dict(TopologyConfig, state["topology"])
-    use_backend = backend if backend is not None else str(state["backend"])
+    with _field("config"):
+        cfg = config_from_dict(ServiceConfig, state["config"])
+    with _field("topology"):
+        topo = config_from_dict(TopologyConfig, state["topology"])
+    with _field("backend"):
+        use_backend = backend if backend is not None else str(state["backend"])
     if telemetry is None and state.get("telemetry") is not None:
         telemetry = True
     # All rebuild work happens under a deactivated telemetry sink, so the
@@ -225,20 +269,25 @@ def restore(
     prev = tm.active()
     tm.activate(None)
     try:
-        session = ServiceSession(
-            cfg,
-            topology=topo,
-            backend=use_backend,
-            telemetry=telemetry,
-            bootstrap=False,
-        )
-        _restore_engine(session, state["engine"], cfg, use_backend)
-        _restore_session_state(session, state["session"])
+        with _field("config"):
+            session = ServiceSession(
+                cfg,
+                topology=topo,
+                backend=use_backend,
+                telemetry=telemetry,
+                bootstrap=False,
+            )
+        with _field("engine"):
+            es = state["engine"]
+        _restore_engine(session, es, cfg, use_backend)
+        with _field("session"):
+            _restore_session_state(session, state["session"])
     finally:
         tm.activate(prev)
     if session.telemetry is not None and state.get("telemetry") is not None:
-        for name, value in state["telemetry"]["counters"].items():
-            session.telemetry.inc(name, int(value))
+        with _field("telemetry.counters"):
+            for name, value in state["telemetry"]["counters"].items():
+                session.telemetry.inc(name, int(value))
     return session
 
 
@@ -249,24 +298,25 @@ def _restore_engine(
     # 1. Topology: replay the failed-link stack over the base graph.
     graph = session._base_graph
     failed: list[tuple[int, int, Relationship]] = []
-    for u, v, rel_name in es["failed"]:
-        u, v = int(u), int(v)
-        # The stack must name links of the replayed graph with the
-        # relationship they carry there, or a later recover_link would
-        # re-add a different link than the one that failed.
-        where = f"checkpoint failed-link stack: link {u}-{v}"
-        rel = Relationship.__members__.get(rel_name) if isinstance(rel_name, str) else None
-        if rel is None:
-            raise ConfigError(f"{where} has unknown relationship {rel_name!r}")
-        if not graph.are_adjacent(u, v):
-            raise ConfigError(f"{where} is not a link of the topology")
-        actual = graph.relationship(u, v)
-        if actual is not rel:
-            raise ConfigError(
-                f"{where} is recorded as {rel.name} but the topology has {actual.name}"
-            )
-        graph = without_link(graph, u, v)
-        failed.append((u, v, rel))
+    with _field("engine.failed"):
+        for u, v, rel_name in es["failed"]:
+            u, v = int(u), int(v)
+            # The stack must name links of the replayed graph with the
+            # relationship they carry there, or a later recover_link would
+            # re-add a different link than the one that failed.
+            where = f"checkpoint failed-link stack: link {u}-{v}"
+            rel = Relationship.__members__.get(rel_name) if isinstance(rel_name, str) else None
+            if rel is None:
+                raise ConfigError(f"{where} has unknown relationship {rel_name!r}")
+            if not graph.are_adjacent(u, v):
+                raise ConfigError(f"{where} is not a link of the topology")
+            actual = graph.relationship(u, v)
+            if actual is not rel:
+                raise ConfigError(
+                    f"{where} is recorded as {rel.name} but the topology has {actual.name}"
+                )
+            graph = without_link(graph, u, v)
+            failed.append((u, v, rel))
     eng.graph = graph
     eng._failed = failed
     # 2. Routing: a fresh cache over the live graph, views recomputed for
@@ -277,36 +327,57 @@ def _restore_engine(
         backend=backend,
         recompute="dirty" if cfg.mode == "incremental" else "all",
     )
-    for dest in es["routing_dests"]:
-        eng.routing(int(dest))
-    counters = es["counters"]
-    eng.routing.dests_recomputed = int(counters["dests_recomputed"])
-    eng.routing.dests_rebased = int(counters["dests_rebased"])
+    with _field("engine.routing_dests"):
+        for dest in es["routing_dests"]:
+            eng.routing(int(dest))
+    with _field("engine.counters"):
+        counters = es["counters"]
+        eng.routing.dests_recomputed = int(counters["dests_recomputed"])
+        eng.routing.dests_rebased = int(counters["dests_rebased"])
     # 3. Directed-link interning, in checkpointed order, then the dense
     # data-plane arrays verbatim (hysteresis bits must NOT be recomputed
     # — they are state, not a function of current load).
-    for u, v in es["links"]:
-        eng._intern_link(int(u), int(v))
-    n = len(es["links"])
-    eng._cap_factor[:n] = np.asarray(es["cap_factor"], dtype=np.float64)
-    eng._exo_frac[:n] = np.asarray(es["exo_frac"], dtype=np.float64)
-    eng._congested[:n] = np.asarray(es["congested"], dtype=bool)
+    with _field("engine.links"):
+        for u, v in es["links"]:
+            eng._intern_link(int(u), int(v))
+        n = len(es["links"])
+    if len(eng._link_idx) != n:
+        raise ConfigError("checkpoint field engine.links lists a link twice")
+    eng._cap_factor[:n] = _column(es, "cap_factor", n, np.float64)
+    eng._exo_frac[:n] = _column(es, "exo_frac", n, np.float64)
+    eng._congested[:n] = _column(es, "congested", n, bool)
     eng._alloc = np.zeros(eng._congested.shape[0])
-    eng._alloc[:n] = np.asarray(es["alloc"], dtype=np.float64)
+    eng._alloc[:n] = _column(es, "alloc", n, np.float64)
     # 4. The flow population (insertion order == checkpoint order ==
-    # ascending registration order).
+    # ascending registration order).  A path must be one the live engine
+    # could have routed: from src to dst over links of the replayed graph.
     eng._flows = {}
-    for fid, src, dst, path, on_alt, switches, rate in es["flows"]:
-        f = _SimFlow(int(fid), int(src), int(dst))
-        if path is not None:
-            f.path = tuple(int(x) for x in path)
-            f.link_ids = eng._intern_path(f.path)
-            f.on_alt = bool(on_alt)
-        f.switches = int(switches)
-        f.rate = float(rate)
-        eng._flows[f.flow_id] = f
-    eng._next_flow_id = int(es["next_flow_id"])
-    eng._event_no = int(es["event_no"])
+    with _field("engine.flows"):
+        for fid, src, dst, path, on_alt, switches, rate in es["flows"]:
+            f = _SimFlow(int(fid), int(src), int(dst))
+            if f.flow_id in eng._flows:
+                raise ConfigError(f"checkpoint flow {f.flow_id} is listed twice")
+            if path is not None:
+                f.path = tuple(int(x) for x in path)
+                hops = zip(f.path, f.path[1:])
+                if (
+                    not f.path
+                    or (f.path[0], f.path[-1]) != (f.src, f.dst)
+                    or not all(graph.are_adjacent(a, b) for a, b in hops)
+                ):
+                    raise ConfigError(
+                        f"checkpoint flow {f.flow_id}: path {list(f.path)} does not "
+                        f"run from {f.src} to {f.dst} over links of the topology"
+                    )
+                f.link_ids = eng._intern_path(f.path)
+                f.on_alt = bool(on_alt)
+            f.switches = int(switches)
+            f.rate = float(rate)
+            eng._flows[f.flow_id] = f
+    with _field("engine.next_flow_id"):
+        eng._next_flow_id = int(es["next_flow_id"])
+    with _field("engine.event_no"):
+        eng._event_no = int(es["event_no"])
     # 5. Solver: re-add the flow table, then one priming fill.  Fill
     # results are independent of column numbering, so the rebuilt pool's
     # rates, memo tick and last-round count land exactly where the
@@ -321,42 +392,50 @@ def _restore_engine(
     # the recycled segments) — replay then recycles columns exactly as
     # the uninterrupted pool would, keeping ``flowsim.cols_reused`` in
     # lockstep.
-    pool.seed_free_segments(
-        {int(n): int(c) for n, c in es["free_segments"].items()}
-    )
-    pc = counters["pool"]
-    pool.pool_hits = int(pc["pool_hits"])
-    pool.cols_reused = int(pc["cols_reused"])
-    pool.warm_rounds_saved = int(pc["warm_rounds_saved"])
-    pool.rounds_total = int(pc["rounds_total"])
-    pool.solves = int(pc["solves"])
-    pool.hits = int(pc["hits"])
+    with _field("engine.free_segments"):
+        pool.seed_free_segments(
+            {int(n): int(c) for n, c in es["free_segments"].items()}
+        )
+    with _field("engine.counters.pool"):
+        pc = counters["pool"]
+        pool.pool_hits = int(pc["pool_hits"])
+        pool.cols_reused = int(pc["cols_reused"])
+        pool.warm_rounds_saved = int(pc["warm_rounds_saved"])
+        pool.rounds_total = int(pc["rounds_total"])
+        pool.solves = int(pc["solves"])
+        pool.hits = int(pc["hits"])
     # 6. The record ring.
     eng.records.clear()
-    for row in es["records"]:
-        eng.records.append(EventRecord(**row))
+    with _field("engine.records"):
+        for row in es["records"]:
+            eng.records.append(EventRecord(**row))
     # 7. Measurement state: detector windows verbatim (null when the
     # config has detector="oracle", which has no monitor — both sides
     # must agree via the round-tripped config).
-    rtt = es["rtt"]
     mon = eng._rtt
-    if rtt is not None and mon is not None:
-        mon._rtt_samples_total = int(rtt["samples_total"])
-        mon._rtt_alarms_total = int(rtt["alarms_total"])
-        series = {}
-        for fid, base, count, last, streak, baseline, values, epochs in rtt[
-            "series"
-        ]:
-            det = mon.new_detector()
-            det._cp_base = int(base)
-            det._cp_count = int(count)
-            det._cp_last = int(last)
-            det._cp_streak = int(streak)
-            det._cp_baseline = None if baseline is None else float(baseline)
-            det._cp_values = [float(x) for x in values]
-            det._cp_epochs = [int(x) for x in epochs]
-            series[int(fid)] = det
-        mon._rtt_series = series
+    with _field("engine.rtt"):
+        rtt = es["rtt"]
+        if (rtt is None) != (mon is None):
+            raise ConfigError(
+                f"checkpoint field engine.rtt disagrees with detector={cfg.detector!r}"
+            )
+        if mon is not None:
+            mon._rtt_samples_total = int(rtt["samples_total"])
+            mon._rtt_alarms_total = int(rtt["alarms_total"])
+            series = {}
+            for fid, base, count, last, streak, baseline, values, epochs in rtt[
+                "series"
+            ]:
+                det = mon.new_detector()
+                det._cp_base = int(base)
+                det._cp_count = int(count)
+                det._cp_last = int(last)
+                det._cp_streak = int(streak)
+                det._cp_baseline = None if baseline is None else float(baseline)
+                det._cp_values = [float(x) for x in values]
+                det._cp_epochs = [int(x) for x in epochs]
+                series[int(fid)] = det
+            mon._rtt_series = series
 
 
 def _restore_session_state(session: Any, ss: dict[str, Any]) -> None:

@@ -40,7 +40,7 @@ from __future__ import annotations
 import dataclasses
 import heapq
 from collections import deque
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, ClassVar
 
 from .. import telemetry as tm
 from ..errors import ConfigError
@@ -84,6 +84,19 @@ class ServiceSession:
     so concurrent sessions never cross-count.
     """
 
+    #: Attributes a checkpoint need not carry verbatim, each with why;
+    #: ``tests/service/test_checkpoint_completeness.py`` compares every
+    #: other attribute of a restored session against the live one.
+    DERIVABLE: ClassVar[dict[str, str]] = {
+        "_base_graph": "regenerated from the captured topology config",
+        "_stream": "pure function of (base graph, config)",
+        "_expiry": (
+            "captured sorted and re-heapified, so the heap layout may differ; "
+            "entries are unique (due tick, flow id) pairs, so heappop yields "
+            "them in sorted order from any valid layout"
+        ),
+    }
+
     def __init__(
         self,
         config: ServiceConfig | None = None,
@@ -103,8 +116,8 @@ class ServiceSession:
             self.telemetry = None
         else:
             self.telemetry = telemetry
-        self._base_graph = generate_topology(self.topology)  # mifocheck: derivable: regenerated from the captured topology config
-        self._stream = EventStream(self._base_graph, self.config)  # mifocheck: derivable: pure function of (base graph, config)
+        self._base_graph = generate_topology(self.topology)
+        self._stream = EventStream(self._base_graph, self.config)
         self.engine = ScenarioEngine(
             self._base_graph,
             [],

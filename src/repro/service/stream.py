@@ -22,7 +22,7 @@ re-solve, hysteresis, certification) runs on service traffic unchanged.
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING, ClassVar, Union
 
 import numpy as np
 
@@ -214,22 +214,30 @@ class EventStream:
     .generator.TopologyConfig` alone.
     """
 
+    #: the sampling tables: never captured, rebuilt with the session.
+    DERIVABLE: ClassVar[dict[str, str]] = {
+        "_nodes": "pure function of the base graph",
+        "_sources": "pure function of (graph, config)",
+        "_src_cum": "pure function of (graph, config)",
+        "_dsts": "pure function of (graph, config)",
+    }
+
     def __init__(self, graph: ASGraph, config: ServiceConfig) -> None:
         config.validate()
         self.config = config
-        self._nodes = np.fromiter(graph.nodes(), dtype=np.int64)  # mifocheck: derivable: pure function of the base graph
+        self._nodes = np.fromiter(graph.nodes(), dtype=np.int64)
         if self._nodes.shape[0] < 2:
             raise ConfigError("service stream needs at least two ASes")
         if config.traffic == "zipf":
             ranked = content_provider_ranking(graph)
-            self._sources = np.asarray(ranked, dtype=np.int64)  # mifocheck: derivable: pure function of (graph, config)
-            self._src_cum = np.cumsum(  # mifocheck: derivable: pure function of (graph, config)
+            self._sources = np.asarray(ranked, dtype=np.int64)
+            self._src_cum = np.cumsum(
                 zipf_weights(len(ranked), config.zipf_alpha)
             )
             stubs = np.asarray(graph.stub_ases(), dtype=np.int64)
             if stubs.size == 0:
                 raise ConfigError("graph has no stub ASes to consume traffic")
-            self._dsts = stubs  # mifocheck: derivable: pure function of (graph, config)
+            self._dsts = stubs
         else:
             self._sources = self._nodes
             self._src_cum = None

@@ -19,7 +19,7 @@ from repro.bgp.array_routing import (
     compute_array_routings,
     converge_block,
 )
-from repro.bgp.propagation import RibEntry, compute_routing
+from repro.bgp.propagation import RibEntry, compute_routing, compute_routings
 from repro.errors import NoRouteError, RoutingError, TopologyError
 from repro.topology.asgraph import ASGraph
 from repro.topology.generator import TopologyConfig, generate_topology
@@ -354,3 +354,44 @@ class TestPartitionInvariance:
         for lo, hi in zip((0, *cuts), (*cuts, len(self.DESTS))):
             split.update(self._bytes(compute_array_routings(graph, self.DESTS[lo:hi])))
         assert split == one_call
+
+
+def _view_bytes(view):
+    """A view's converged state as bytes (array rows) or ordered items
+    (dict tables), without its graph or lazy caches."""
+    if isinstance(view, ArrayDestinationRouting):
+        return tuple((a.dtype.str, a.shape, a.tobytes()) for a in view.state())
+    return tuple(
+        list(t.items())
+        for t in (
+            view._cust_dist,
+            view._peer_dist,
+            view._export_len,
+            view._best_class,
+            view._next_hop,
+        )
+    )
+
+
+class TestComputeRoutingsOrder:
+    """``compute_routings`` gives every destination the same state whatever
+    the order of the list — and so whatever block a destination lands in.
+    ``IncrementalRouting._views`` leans on this: its insertion order, which
+    a restored session does not reproduce, only orders the list that
+    ``advance`` hands this function."""
+
+    @given(hierarchies(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_permuted_destinations(self, g, data):
+        nodes = sorted(g.nodes())
+        dests = data.draw(st.lists(st.sampled_from(nodes), min_size=1, unique=True))
+        permuted = data.draw(st.permutations(dests))
+        for backend in ("dict", "array"):
+            given_order = compute_routings(g, dests, backend)
+            other_order = compute_routings(g, permuted, backend)
+            assert list(other_order) == list(permuted)
+            for d in dests:
+                alone = compute_routings(g, [d], backend)[d]
+                want = _view_bytes(alone)
+                assert _view_bytes(given_order[d]) == want, (backend, d)
+                assert _view_bytes(other_order[d]) == want, (backend, d)

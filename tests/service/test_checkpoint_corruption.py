@@ -1,14 +1,25 @@
-"""Checkpoint restore under a corrupted failed-link stack.
+"""Checkpoint restore under corrupted documents.
 
-The stack is replayed over the regenerated base graph, and each entry's
-relationship is what a later ``recover_link`` re-adds.  So an entry must
-name a link of the replayed graph with the relationship it carries
-there; anything else is refused with a :class:`~repro.errors.ConfigError`
-naming the link, instead of a bare ``KeyError`` or a silent restore that
-re-adds the wrong link later.
+The failed-link stack is replayed over the regenerated base graph, and
+each entry's relationship is what a later ``recover_link`` re-adds.  So
+an entry must name a link of the replayed graph with the relationship it
+carries there; anything else is refused with a
+:class:`~repro.errors.ConfigError` naming the link, instead of a bare
+``KeyError`` or a silent restore that re-adds the wrong link later.
+
+The rest of the document gets the same treatment: whatever the damage —
+not JSON, a missing field, a wrong type, a short column, a flow path
+that is not a path of the topology, a flow listed twice — the only
+outcomes are a successful restore or a ``ConfigError`` naming the field
+or the flow.
 """
 
+import contextlib
 import copy
+import dataclasses
+import functools
+import json
+import operator
 
 import pytest
 from hypothesis import given, settings
@@ -90,3 +101,119 @@ class TestCorruptedFailedStack:
         bad["engine"]["failed"].append(list(bad["engine"]["failed"][0]))
         u, v, _ = bad["engine"]["failed"][0]
         _refused(bad, u, v)
+
+
+@pytest.fixture(scope="module")
+def stepped():
+    """A 70-AS session after 40 steps, with detector state and flows."""
+    s = ServiceSession(
+        dataclasses.replace(CFG, detector="threshold"), topology=TOPO, telemetry=True
+    )
+    s.drain(40)
+    state = s.checkpoint()
+    assert any(row[3] for row in state["engine"]["flows"]), "no routed flow"
+    return state
+
+
+@pytest.fixture(scope="module")
+def ckpt_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("checkpoints")
+
+
+def _routed_flow(state):
+    """Position and row of the first flow with a path of 3+ ASes."""
+    return next(
+        (i, row) for i, row in enumerate(state["engine"]["flows"]) if row[3] and len(row[3]) > 2
+    )
+
+
+def _paths(doc, where=()):
+    """The key path of every node below the root of a JSON tree."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        yield where + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, where + (key,))
+
+
+class TestHostileDocument:
+    def test_top_level_list(self, ckpt_dir):
+        path = ckpt_dir / "list.json"
+        path.write_text("[]")
+        with pytest.raises(ConfigError, match="top level is a list"):
+            ServiceSession.restore(str(path))
+
+    @given(st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_truncated_json(self, stepped, ckpt_dir, data):
+        text = json.dumps(stepped, sort_keys=True)
+        path = ckpt_dir / "truncated.json"
+        path.write_text(text[: data.draw(st.integers(0, len(text) - 1))])
+        with pytest.raises(ConfigError, match="is not JSON"):
+            ServiceSession.restore(str(path))
+
+    def test_missing_links(self, stepped):
+        bad = copy.deepcopy(stepped)
+        del bad["engine"]["links"]
+        with pytest.raises(ConfigError, match="engine.links"):
+            ServiceSession.restore(bad)
+
+    def test_short_column(self, stepped):
+        bad = copy.deepcopy(stepped)
+        bad["engine"]["cap_factor"].pop()
+        with pytest.raises(ConfigError, match="engine.cap_factor"):
+            ServiceSession.restore(bad)
+
+    def test_link_listed_twice(self, stepped):
+        bad = copy.deepcopy(stepped)
+        es = bad["engine"]
+        for name in ("links", "cap_factor", "exo_frac", "congested", "alloc"):
+            es[name].append(es[name][0])
+        with pytest.raises(ConfigError, match="engine.links lists a link twice"):
+            ServiceSession.restore(bad)
+
+    def test_rtt_section_without_a_monitor(self, stepped):
+        bad = copy.deepcopy(stepped)
+        bad["config"]["detector"] = "oracle"
+        with pytest.raises(ConfigError, match="engine.rtt disagrees"):
+            ServiceSession.restore(bad)
+
+    def test_unknown_record_key(self, stepped):
+        bad = copy.deepcopy(stepped)
+        bad["engine"]["records"][0]["bogus"] = 1
+        with pytest.raises(ConfigError, match="engine.records"):
+            ServiceSession.restore(bad)
+
+    @pytest.mark.parametrize("damage", ["foreign AS", "reversed"])
+    def test_flow_path_off_the_topology(self, stepped, damage):
+        bad = copy.deepcopy(stepped)
+        pos, row = _routed_flow(bad)
+        if damage == "reversed":
+            row[3].reverse()
+        else:
+            row[3].insert(1, 99999)
+        with pytest.raises(ConfigError, match=f"flow {row[0]}: path"):
+            ServiceSession.restore(bad)
+
+    def test_duplicated_flow(self, stepped):
+        bad = copy.deepcopy(stepped)
+        pos, row = _routed_flow(bad)
+        bad["engine"]["flows"].insert(pos + 1, copy.deepcopy(row))
+        with pytest.raises(ConfigError, match=f"flow {row[0]} is listed twice"):
+            ServiceSession.restore(bad)
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_any_single_mutation(self, stepped, data):
+        """Delete one node of the document or replace it with a value of
+        another type: the restore succeeds or raises ConfigError."""
+        path = data.draw(st.sampled_from(list(_paths(stepped))))
+        bad = copy.deepcopy(stepped)
+        parent = functools.reduce(operator.getitem, path[:-1], bad)
+        replacement = data.draw(st.sampled_from(["delete", None, "x", -1, 0.5, [], {}]))
+        if replacement == "delete":
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = replacement
+        with contextlib.suppress(ConfigError):
+            ServiceSession.restore(bad)

@@ -1,8 +1,17 @@
 """The deterministic event stream: purity, tables, and the tick wrapper."""
 
+import contextlib
+import pickle
+import random
+import time
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro import telemetry
 from repro.errors import ConfigError
 from repro.service import (
     CapacityJitter,
@@ -10,10 +19,71 @@ from repro.service import (
     FlowArrival,
     LinkFlap,
     ServiceConfig,
+    ServiceSession,
     ServiceTick,
 )
+from repro.service import stream as stream_module
+from repro.service.stream import BatchTick
+from repro.telemetry import core as telemetry_core
 from repro.topology.generator import TopologyConfig, generate_topology
 from repro.traffic.matrix import content_provider_ranking, zipf_weights
+
+_CLOCKS = (
+    "time",
+    "time_ns",
+    "perf_counter",
+    "perf_counter_ns",
+    "monotonic",
+    "monotonic_ns",
+    "process_time",
+    "process_time_ns",
+)
+_EMITTERS = ("inc", "set_gauge", "observe", "span", "event")
+
+
+def _ambient_sources():
+    """``(owner, attribute, label)`` of everything ``event_at`` must not
+    reach: the clocks, every global sampler of ``random`` and of numpy's
+    legacy ``RandomState``, telemetry emission, and the session's batch
+    and flush machinery (which reads session state)."""
+    sources = [(time, name, f"time.{name}") for name in _CLOCKS]
+    for name in random.__all__:
+        member = getattr(random, name)
+        if callable(member) and not isinstance(member, type):
+            sources.append((random, name, f"random.{name}"))
+    for name in np.random.mtrand.__all__:
+        if not isinstance(getattr(np.random, name), type):
+            sources.append((np.random, name, f"numpy.random.{name}"))
+    for owner in (telemetry, telemetry_core, telemetry.Telemetry):
+        sources += [(owner, name, f"telemetry {name}") for name in _EMITTERS]
+    sources += [
+        (ServiceSession, "_flush", "ServiceSession._flush"),
+        (ServiceSession, "_apply", "ServiceSession._apply"),
+        (BatchTick, "apply", "BatchTick.apply"),
+        (stream_module, "merge_effects", "merge_effects"),
+    ]
+    return sources
+
+
+def _trap(label):
+    def reached(*_args, **_kwargs):
+        raise AssertionError(f"event_at reached {label}")
+
+    return reached
+
+
+@contextlib.contextmanager
+def ambient_state_forbidden():
+    """Every source :func:`_ambient_sources` lists raises while open."""
+    with contextlib.ExitStack() as stack:
+        for owner, name, label in _ambient_sources():
+            stack.enter_context(mock.patch.object(owner, name, _trap(label)))
+        yield
+
+
+def _state(stream):
+    """Every instance attribute of ``stream`` as pickled bytes."""
+    return {name: pickle.dumps(value) for name, value in vars(stream).items()}
 
 
 @pytest.fixture(scope="module")
@@ -49,6 +119,42 @@ class TestPurity:
     def test_negative_index_rejected(self, stream):
         with pytest.raises(ConfigError):
             stream.event_at(-1)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        order=st.permutations(range(40)),
+        traffic=st.sampled_from(["zipf", "uniform"]),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_event_at_reads_only_seed_and_index(self, graph, seed, order, traffic):
+        """Shuffled calls on a fresh stream equal in-order calls, with
+        every ambient source armed to raise and no attribute written."""
+        cfg = ServiceConfig(
+            seed=seed, traffic=traffic, p_link_event=0.2, p_capacity_event=0.2
+        )
+        in_order, shuffled = EventStream(graph, cfg), EventStream(graph, cfg)
+        before = [_state(in_order), _state(shuffled)]
+        with ambient_state_forbidden():
+            want = [in_order.event_at(i) for i in range(len(order))]
+            got = {i: shuffled.event_at(i) for i in order}
+        assert [got[i] for i in range(len(order))] == want
+        assert [_state(in_order), _state(shuffled)] == before
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: time.perf_counter(),
+            lambda: random.random(),
+            lambda: np.random.rand(),
+            lambda: telemetry.inc("x"),
+            lambda: telemetry.Telemetry().event("x"),
+            lambda: stream_module.merge_effects([]),
+            lambda: BatchTick(ticks=()).apply(None),
+        ],
+    )
+    def test_every_trap_is_armed(self, call):
+        with ambient_state_forbidden(), pytest.raises(AssertionError, match="event_at reached"):
+            call()
 
 
 class TestEventMix:

@@ -69,6 +69,15 @@ class TestCsr:
                 with pytest.raises(ValueError, match="read-only"):
                     arr.fill(0)
 
+    def test_fields_cannot_be_rebound(self, graph):
+        # The CSR and its level schedule are frozen dataclasses: swapping
+        # an array out is refused just like writing into one.
+        csr = graph.csr()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            csr.nbr_indices = np.zeros(0, dtype=np.int64)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            csr.pull_schedule.level_starts = np.zeros(0, dtype=np.int64)
+
     def test_edge_counts_consistent(self, graph):
         csr = graph.csr()
         assert len(csr.cust_indices) == len(csr.prov_indices)

@@ -1,6 +1,6 @@
 """The lint rules and the single-pass AST visitor that applies them.
 
-Three rules, each encoding a repo invariant that generic linters cannot
+Five rules, each encoding a repo invariant that generic linters cannot
 express because it depends on *this* codebase's semantics:
 
 ``MF001`` — **no unseeded randomness in library code.**  Every result in
@@ -22,24 +22,19 @@ in the fluid solver the iteration order decides float accumulation order
 instead.  (Dict/dict-view iteration is fine: insertion-ordered by
 construction.)
 
-``MF003`` — **no mutation of a frozen ASGraph, of shared CSR arrays, or
-of the incremental solver's slab state.**  Outside ``repro.topology``
-every ``ASGraph`` is frozen by contract, so calling its mutators is at
-best a latent ``TopologyError`` and at worst state corruption; the
-:class:`~repro.topology.asgraph.CsrAdjacency` arrays are shared
-read-only across all destinations, so writing to them corrupts every
-view of the graph.  Likewise the :class:`~repro.flowsim.incremental.IncrementalMaxMin`
-slab/extent/multiplicity arrays persist across simulator events; only
-``repro.flowsim.incremental`` itself may store into them.  And the
-scenario engine / service session fields the service checkpoint
-serializes (``_flows``, ``_congested``, ``_tick``, the stream cursor,
-...) are restore-critical state: a store from outside the owning class
-desynchronizes the live process from what :mod:`repro.service.checkpoint`
-would capture, silently breaking the restore-replays-byte-identically
-guarantee — only ``repro.service`` (the restore path) may write them
-from outside.  Flags mutator calls outside ``repro.topology`` and any
-store into a CSR field, a graph-private structure, a solver slab field,
-or a checkpointed service-state field.
+``MF003`` — **no mutation of a frozen ASGraph, and no store into
+another object's private state.**  Outside ``repro.topology`` every
+``ASGraph`` is frozen by contract, so calling its mutators is at best a
+latent ``TopologyError`` and at worst state corruption.  And a private
+attribute belongs to the class that assigns it: a store into
+``obj._name`` or ``obj._name[...]`` where ``obj`` is not ``self``/``cls``
+bypasses the owner's invariants — the graph's freeze, the solver's slab
+bookkeeping, the engine and session state a checkpoint captures.  Two
+places may write from outside: a file whose own class assigns
+``self._name`` (clones built by ``rebind``/``rebase``), and
+``repro.service``, the checkpoint restore path.  The CSR arrays need no
+lint: they are read-only numpy arrays in frozen dataclasses, so a write
+raises at run time.
 
 ``MF004`` — **no ad-hoc clocks in library code.**  Every timing in
 ``src/repro`` must flow through ``repro.telemetry`` (spans for phase
@@ -60,14 +55,7 @@ companions, ellipsis/``pass`` stub bodies (Protocol members, abstract
 declarations), and functions nested inside other functions are exempt.
 
 Suppression: append ``# mifolint: disable=MF00X`` (or ``# noqa: MF00X``)
-to the offending line.
-
-The MF003 protection sets (CSR arrays, solver slab, checkpointed service
-state) are **derived from source** by :mod:`tools.mifocheck.derive` —
-from the checkpoint writer's reads/writes, the solver's ``slab-state``
-markers, and the CSR dataclass annotations — never hand-maintained here.
-mifocheck's MC104 pass cross-checks the derivations; growing the state
-updates the lint automatically.
+to the offending line; free text (a reason) may follow the codes.
 """
 
 from __future__ import annotations
@@ -75,16 +63,8 @@ from __future__ import annotations
 import ast
 import dataclasses
 import pathlib
+import re
 from collections.abc import Iterable, Sequence
-
-from ..lintshared import DISABLE_RE as _DISABLE_RE
-from ..lintshared import Finding as Violation
-from ..lintshared import suppressed as _suppressed
-from ..mifocheck.derive import (
-    checkpointed_state_fields,
-    csr_array_fields,
-    slab_state_fields,
-)
 
 __all__ = [
     "PathPolicy",
@@ -99,8 +79,8 @@ __all__ = [
 RULES: dict[str, str] = {
     "MF001": "unseeded random/numpy.random in library code breaks reproducibility",
     "MF002": "iteration over an unordered set in a determinism-critical hot path",
-    "MF003": "mutation of a frozen ASGraph, shared CSR arrays, solver slab state, "
-    "or checkpointed service state",
+    "MF003": "mutation of a frozen ASGraph, or a store into another object's "
+    "private attribute",
     "MF004": "direct time.time()/perf_counter() in library code; use repro.telemetry",
     "MF005": "public class/function in library code without a docstring",
 }
@@ -145,35 +125,53 @@ GRAPH_MUTATORS: frozenset[str] = frozenset(
     {"add_as", "add_p2c", "add_peering", "_add_link"}
 )
 
-#: CsrAdjacency array fields (MF003b) — never assignment targets, anywhere.
-#: Derived from the ``np.ndarray``-annotated fields of the CSR dataclass.
-CSR_FIELDS: frozenset[str] = csr_array_fields()
+#: one regex accepts both suppression spellings; free text (a reason) may
+#: follow the code list and is ignored by the match.
+DISABLE_RE = re.compile(r"#\s*(?:mifolint:\s*disable=|noqa:\s*)([A-Z0-9, ]+)")
 
-#: ASGraph internal structures (MF003b) — writable only through ``self``.
-GRAPH_PRIVATES: frozenset[str] = frozenset(
-    {"_nbr", "_customers", "_providers", "_peers", "_links", "_csr", "_frozen"}
-)
 
-#: IncrementalMaxMin slab bookkeeping (MF003c) — the column slab, extent
-#: and multiplicity arrays encode the live link×path incidence; a write
-#: from anywhere but ``repro/flowsim/incremental.py`` silently corrupts
-#: every later allocation (the solver reuses them across events).
-#: Derived from the ``# mifocheck: slab-state`` markers in the solver.
-SLAB_FIELDS: frozenset[str] = slab_state_fields()
+@dataclasses.dataclass(frozen=True, slots=True)
+class Violation:
+    """One rule violation at a concrete source location."""
 
-#: Checkpointed service state (MF003d) — every field the service
-#: checkpoint serializes (scenario-engine data plane, flow table, session
-#: stream cursor).  A store from outside the owning class (``self``)
-#: desynchronizes the live process from its checkpoint; only
-#: ``repro.service`` — the restore path — may write them externally.
-#: Derived from the checkpoint writer: the union of what ``capture``
-#: reads and what the restore functions write.
-SERVICE_STATE_FIELDS: frozenset[str] = checkpointed_state_fields()
+    path: str
+    line: int
+    col: int
+    code: str
+    message: str
 
-# Violation, _DISABLE_RE, and _suppressed come from tools.lintshared,
-# shared with mifocheck so suppressions and rendering behave identically
-# across both analyzers (this also makes "# mifocheck: disable=..."
-# spellings work for MF rules and vice versa).
+    def render(self) -> str:
+        return f"{self.path}:{self.line}:{self.col}: {self.code} {self.message}"
+
+
+def _suppressed(source_lines: Sequence[str], line: int, code: str) -> bool:
+    """Whether ``code`` is suppressed on 1-indexed ``line`` of the file."""
+    if not 1 <= line <= len(source_lines):
+        return False
+    m = DISABLE_RE.search(source_lines[line - 1])
+    return bool(m) and code in {c.strip() for c in m.group(1).split(",")}
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _owned_privates(tree: ast.Module) -> frozenset[str]:
+    """Private names some class of the module assigns as ``self._name``."""
+    owned: set[str] = set()
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in ast.walk(cls):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "self"
+                and _is_private(node.attr)
+            ):
+                owned.add(node.attr)
+    return frozenset(owned)
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -185,7 +183,7 @@ class PathPolicy:
     ``docstrings`` gates MF005 separately so the repo's own tooling
     (``tools/``, ``benchmarks/``) can be held to the determinism rules
     without requiring a docstring on every helper.  The ``allow_*``
-    flags name the single module that legitimately owns each protected
+    flags name the package that legitimately owns each protected
     mechanism.  MF003 store checks apply everywhere regardless.
     """
 
@@ -194,7 +192,6 @@ class PathPolicy:
     docstrings: bool
     allow_mutators: bool = False
     allow_timers: bool = False
-    allow_slab: bool = False
     allow_service: bool = False
 
 
@@ -209,8 +206,8 @@ class _Visitor(ast.NodeVisitor):
         docstrings: bool,
         allow_mutators: bool = False,
         allow_timers: bool = False,
-        allow_slab: bool = False,
         allow_service: bool = False,
+        owned: frozenset[str] = frozenset(),
     ) -> None:
         self.path = path
         self.source_lines = source_lines
@@ -221,10 +218,10 @@ class _Visitor(ast.NodeVisitor):
         self.allow_mutators = allow_mutators
         #: repro.telemetry owns the clocks, so raw time.* reads are fine there
         self.allow_timers = allow_timers
-        #: repro.flowsim.incremental owns the slab, so its stores are fine
-        self.allow_slab = allow_slab
         #: repro.service owns checkpoint restore, so its state stores are fine
         self.allow_service = allow_service
+        #: private names a class of this file assigns on ``self`` (MF003)
+        self.owned = owned
         self.violations: list[Violation] = []
         #: names bound to the stdlib ``random`` module
         self.random_aliases: set[str] = set()
@@ -529,70 +526,22 @@ class _Visitor(ast.NodeVisitor):
             for elt in target.elts:
                 self._check_store(elt)
             return
-        if isinstance(target, ast.Attribute):
-            if target.attr in CSR_FIELDS:
-                self._add(
-                    target, "MF003",
-                    f"assignment to CSR field .{target.attr} — these arrays are "
-                    f"shared read-only across destinations",
-                )
-            elif target.attr in GRAPH_PRIVATES and not self._is_self_call(target):
-                self._add(
-                    target, "MF003",
-                    f"assignment to ASGraph internal .{target.attr} from outside "
-                    f"the class bypasses the freeze() contract",
-                )
-            elif target.attr in SLAB_FIELDS and not self.allow_slab:
-                self._add(
-                    target, "MF003",
-                    f"assignment to solver slab field .{target.attr} — only "
-                    f"repro.flowsim.incremental may mutate the pooled "
-                    f"incidence state it reuses across events",
-                )
-            elif (
-                target.attr in SERVICE_STATE_FIELDS
-                and not self.allow_service
-                and not self._is_self_call(target)
-            ):
-                self._add(
-                    target, "MF003",
-                    f"assignment to checkpointed service state .{target.attr} "
-                    f"from outside the owning class — only the repro.service "
-                    f"restore path may write it, or checkpoint/replay "
-                    f"byte-identity silently breaks",
-                )
-        elif isinstance(target, ast.Subscript):
-            value = target.value
-            if isinstance(value, ast.Attribute) and value.attr in CSR_FIELDS:
-                self._add(
-                    target, "MF003",
-                    f"element store into CSR array .{value.attr} — these arrays "
-                    f"are shared read-only across destinations",
-                )
-            elif (
-                isinstance(value, ast.Attribute)
-                and value.attr in SLAB_FIELDS
-                and not self.allow_slab
-            ):
-                self._add(
-                    target, "MF003",
-                    f"element store into solver slab array .{value.attr} — only "
-                    f"repro.flowsim.incremental may mutate the pooled "
-                    f"incidence state it reuses across events",
-                )
-            elif (
-                isinstance(value, ast.Attribute)
-                and value.attr in SERVICE_STATE_FIELDS
-                and not self.allow_service
-                and not self._is_self_call(value)
-            ):
-                self._add(
-                    target, "MF003",
-                    f"element store into checkpointed service state "
-                    f".{value.attr} from outside the owning class — only the "
-                    f"repro.service restore path may write it, or "
-                    f"checkpoint/replay byte-identity silently breaks",
-                )
+        node = target
+        while isinstance(node, ast.Subscript):
+            node = node.value
+        if (
+            isinstance(node, ast.Attribute)
+            and _is_private(node.attr)
+            and not self._is_self_call(node)
+            and not self.allow_service
+            and node.attr not in self.owned
+        ):
+            self._add(
+                target, "MF003",
+                f"store into .{node.attr} of another object — only the class "
+                f"that assigns self.{node.attr} (or the repro.service restore "
+                f"path) may write it",
+            )
 
     # ------------------------------------------------------------------
     def _add(self, node: ast.expr | ast.stmt, code: str, message: str) -> None:
@@ -628,7 +577,6 @@ def _classify(path: pathlib.Path) -> PathPolicy:
             docstrings=True,
             allow_mutators="repro/topology/" in posix,
             allow_timers="repro/telemetry/" in posix,
-            allow_slab="repro/flowsim/incremental" in posix,
             allow_service="repro/service/" in posix,
         )
     tooling = any(
@@ -647,7 +595,6 @@ def lint_source(
     docstrings: bool | None = None,
     allow_mutators: bool = False,
     allow_timers: bool = False,
-    allow_slab: bool = False,
     allow_service: bool = False,
 ) -> list[Violation]:
     """Lint one source string (the unit-test entry point).
@@ -664,8 +611,8 @@ def lint_source(
         docstrings=library if docstrings is None else docstrings,
         allow_mutators=allow_mutators,
         allow_timers=allow_timers,
-        allow_slab=allow_slab,
         allow_service=allow_service,
+        owned=_owned_privates(tree),
     )
     visitor.visit(tree)
     return sorted(visitor.violations, key=lambda v: (v.line, v.col, v.code))
@@ -681,7 +628,6 @@ def lint_file(path: pathlib.Path) -> list[Violation]:
         docstrings=policy.docstrings,
         allow_mutators=policy.allow_mutators,
         allow_timers=policy.allow_timers,
-        allow_slab=policy.allow_slab,
         allow_service=policy.allow_service,
     )
 
