@@ -238,3 +238,31 @@ class TestTelemetryPolicy:
             reference["checkpoints"][3], telemetry=False
         )
         assert restored.telemetry is None
+
+
+class TestResumedFillsAcrossRestore:
+    """Fills resume from the previous fill's round memo; restore rebuilds
+    that memo with its priming fill, so a restored session and the
+    uninterrupted one take the same rounds from it from then on."""
+
+    @pytest.mark.parametrize("batch_max", [1, 16])
+    def test_restored_session_advances_in_lockstep(self, batch_max):
+        cfg = ServiceConfig(
+            seed=31,
+            arrival_rate=120.0,
+            mean_lifetime_events=30.0,
+            p_link_event=0.03,
+            p_capacity_event=0.03,
+            record_capacity=24,
+            batch_max=batch_max,
+        )
+        live = ServiceSession(cfg, topology=TOPO, telemetry=True)
+        live.drain(150)
+        restored = ServiceSession.restore(live.checkpoint())
+        assert restored.checkpoint_json() == live.checkpoint_json()
+        reused = live.telemetry.counters["flowsim.fill_rounds_reused"]
+        for session in (live, restored):
+            session.drain(150)
+        assert restored.checkpoint_json() == live.checkpoint_json()
+        counters = json.loads(live.checkpoint_json())["telemetry"]["counters"]
+        assert counters["flowsim.fill_rounds_reused"] > reused > 0
