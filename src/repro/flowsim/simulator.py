@@ -490,7 +490,8 @@ class FluidSimulator:
             path, on_alt = decision
             if path == f.path:
                 continue
-            rate = f.rate
+            # ``f.rate`` is bytes/s; the allocation estimate is bps.
+            rate = f.rate * 8.0
             for idx in f.link_ids:
                 self._alloc[idx] = max(0.0, self._alloc[idx] - rate)
             new_ids = self._intern_path(path)
