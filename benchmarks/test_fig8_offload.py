@@ -10,17 +10,17 @@ from .conftest import write_result
 
 
 def test_fig8(benchmark, results_dir, bench_scale):
-    result = benchmark.pedantic(
+    cells = benchmark.pedantic(
         lambda: fig8.run(bench_scale, backend="array").raw, rounds=1, iterations=1
     )
-    write_result(results_dir, "fig8", result.render())
+    write_result(results_dir, "fig8", cells.render())
 
-    deps = sorted(result.results)
-    offloads = [result.offload(d) for d in deps]
+    offload = fig8.offloads(cells)  # by deployment, ascending
+    offloads = list(offload.values())
     # Broadly increasing in deployment (allow small local noise).
     assert offloads[-1] > offloads[0]
     smoothed = np.maximum.accumulate(offloads)
     assert np.all(np.asarray(offloads) >= smoothed - 0.08)
     # Full deployment offloads a substantial share; 10% a visible one.
-    assert result.offload(1.0) > 0.25
-    assert result.offload(0.1) > 0.01
+    assert offload[1.0] > 0.25
+    assert offload[0.1] > 0.01

@@ -7,12 +7,12 @@ from .conftest import write_result
 
 
 def test_fig9(benchmark, results_dir, bench_scale):
-    result = benchmark.pedantic(
+    cells = benchmark.pedantic(
         lambda: fig9.run(bench_scale, backend="array").raw, rounds=1, iterations=1
     )
-    write_result(results_dir, "fig9", result.render())
+    write_result(results_dir, "fig9", cells.render())
 
-    d = result.distribution
+    d = fig9.distribution(cells)
     assert d.switching_flows > 0
     # Paper: 67.7% switch once — accept a generous band around it.
     assert d.fraction_of_switching(1) > 0.45

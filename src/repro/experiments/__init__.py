@@ -4,6 +4,10 @@ artifact, each exposing the unified entry point
 (see :mod:`repro.experiments.result`); ``result.render()`` produces the
 human-readable report, ``result.to_json()`` the machine-readable one.
 
+Figs. 5, 6, 8 and 9 are grids of ``Cell(scheme, value)`` simulations,
+computed by :func:`repro.experiments.common.run_grid`; each figure module
+holds only its grid, its metric and its render.
+
 Registry keys match the DESIGN.md experiment index: ``table1``, ``fig5``,
 ``fig6``, ``fig7``, ``fig8``, ``fig9``, ``fig12``.
 """

@@ -11,14 +11,19 @@ size and workload volume.  Three presets:
 
 All experiments share one topology and one routing cache per scale+seed so
 a bench that regenerates several figures pays for BGP convergence once.
+
+Figs. 5, 6, 8 and 9 are one experiment along different axes: each is a
+:class:`Grid` of ``Cell(scheme, value)`` simulations over one traffic
+spec, computed by :func:`run_grid` into a :class:`Cells` container.  A
+figure module keeps only its grid, its metric and its render.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
-from collections.abc import Callable, Sequence
-from typing import TYPE_CHECKING, Any
+from collections.abc import Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Literal, NamedTuple
 
 import numpy as np
 
@@ -26,20 +31,24 @@ from .. import telemetry as tm
 from ..bgp.propagation import RoutingCache
 from ..errors import ConfigError
 from ..mifo.deflection import MifoPathBuilder
-from ..miro.negotiation import MiroConfig, MiroRouting
+from ..miro.negotiation import MiroRouting
 from ..flowsim.providers import BgpProvider, MifoProvider, MiroProvider, PathProvider
-from ..flowsim.simulator import FluidSimConfig, FluidSimulator
+from ..flowsim.simulator import FluidSimConfig, FluidSimResult, FluidSimulator
 from ..topology.asgraph import ASGraph
 from ..topology.generator import TopologyConfig, generate_topology
+from ..traffic.matrix import TrafficConfig, powerlaw_matrix, uniform_matrix
+from .result import ExperimentResult, freeze_series
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from ..flowsim.flow import FlowSpec
-    from ..flowsim.simulator import FluidSimResult
     from ..telemetry.core import EventValue
     from ..verify.report import VerificationReport
 
 __all__ = [
+    "Cell",
+    "Cells",
     "ExperimentScale",
+    "Grid",
     "SCALES",
     "get_scale",
     "SharedContext",
@@ -47,6 +56,7 @@ __all__ = [
     "instrumented_run",
     "make_provider",
     "provenance_meta",
+    "run_grid",
 ]
 
 
@@ -212,42 +222,138 @@ def make_provider(
     graph: ASGraph,
     routing: RoutingCache,
     capable: frozenset[int],
-    *,
-    miro_config: MiroConfig | None = None,
 ) -> PathProvider:
     """Instantiate the path provider for one of the three schemes."""
     scheme = scheme.upper()
     if scheme == "BGP":
         return BgpProvider(graph, routing)
     if scheme == "MIRO":
-        return MiroProvider(MiroRouting(graph, routing, capable, miro_config))
+        return MiroProvider(MiroRouting(graph, routing, capable))
     if scheme == "MIFO":
         return MifoProvider(MifoPathBuilder(graph, routing, capable))
     raise ConfigError(f"unknown scheme {scheme!r}")
 
 
-def run_scheme(
-    ctx: SharedContext,
-    scheme: str,
-    capable: frozenset[int],
-    specs: "list[FlowSpec]",
-    *,
-    sim_config: FluidSimConfig | None = None,
-    solver: str | None = None,
-) -> "FluidSimResult":
-    """Run one (scheme, deployment) fluid simulation over ``specs``.
+#: label -> the (x, y) points of one plotted curve
+Series = dict[str, list[tuple[float, float]]]
+#: what a figure's metric returns: its ``series`` and its ``meta`` headlines
+Measured = tuple[Series, Mapping[str, object]]
 
-    ``solver`` overrides :attr:`FluidSimConfig.solver` (``"incremental"``
-    or ``"full"``) without the caller building a whole config; results are
-    byte-identical either way.
+
+class Cell(NamedTuple):
+    """One simulation of a figure: a scheme at one axis value."""
+
+    scheme: str
+    value: float
+
+
+@dataclasses.dataclass(frozen=True)
+class Grid:
+    """A figure as data: every scheme at every axis value, and how to
+    measure and render the simulations.
+
+    On the ``"deployment"`` axis a value is the deployment ratio and all
+    cells share one uniform matrix.  On the ``"alpha"`` axis a value is
+    the Zipf skew of a power-law matrix and every cell deploys
+    ``deployment``.  The matrix seed is the scale's seed + ``seed_offset``.
     """
-    # Converge every destination the workload will touch up front — in
-    # kernel blocks instead of one at a time at first use inside the
-    # simulator loop.
-    ctx.routing.precompute({spec.dst for spec in specs})
-    provider = make_provider(scheme, ctx.graph, ctx.routing, capable)
-    config = sim_config or FluidSimConfig()
-    if solver is not None:
-        config = dataclasses.replace(config, solver=solver)
-    sim = FluidSimulator(ctx.graph, provider, config)
-    return sim.run(specs)
+
+    schemes: tuple[str, ...]
+    axis: Literal["deployment", "alpha"]
+    values: tuple[float, ...]
+    seed_offset: int
+    metric: Callable[[Cells], Measured]
+    render: Callable[[Cells], str]
+    deployment: float = 1.0
+
+    def __post_init__(self) -> None:
+        seen: dict[str, float] = {}
+        for value in self.values:
+            label = self.label(value)
+            if label in seen:
+                raise ConfigError(
+                    f"{self.axis} values {seen[label]!r} and {value!r} both label as {label!r}"
+                )
+            seen[label] = value
+
+    def label(self, value: float) -> str:
+        """How ``value`` prints in series and meta labels."""
+        return f"{value:.0%}" if self.axis == "deployment" else f"alpha={value:.1f}"
+
+
+@dataclasses.dataclass(frozen=True)
+class Cells:
+    """A figure's simulations by grid cell, in grid order:
+    ``cells["MIFO", 0.5]``.  Cells that share a run (BGP across a
+    deployment axis) hold the same result object."""
+
+    scale_name: str
+    grid: Grid
+    results: dict[Cell, FluidSimResult]
+
+    def __getitem__(self, cell: tuple[str, float]) -> FluidSimResult:
+        return self.results[Cell(*cell)]
+
+    def render(self) -> str:
+        """The figure's human-readable report."""
+        return self.grid.render(self)
+
+
+def run_grid(
+    name: str, scale: str | ExperimentScale, grid: Grid, *, backend: str, solver: str
+) -> ExperimentResult:
+    """Simulate every cell of ``grid``, value-major, and measure them.
+
+    Each simulation runs under an ``experiments.cell`` span.  BGP ignores
+    deployment, so it runs once per traffic matrix and its cells share
+    that run.  ``solver`` picks :attr:`FluidSimConfig.solver`.  An
+    ``"alpha"`` grid reports its fixed ``deployment`` in ``meta``.
+    """
+    sc = get_scale(scale)
+    ctx = SharedContext.get(sc, backend=backend)
+    config = FluidSimConfig(solver=solver)
+    matrices: dict[float | None, list[FlowSpec]] = {}
+    sims: dict[tuple[str, float | None, float | None], FluidSimResult] = {}
+    results: dict[Cell, FluidSimResult] = {}
+    for cell in (Cell(s, v) for v in grid.values for s in grid.schemes):
+        alpha, ratio = (cell.value, grid.deployment) if grid.axis == "alpha" else (None, cell.value)
+        bgp = cell.scheme == "BGP"
+        key = (cell.scheme, alpha, None if bgp else ratio)
+        if key not in sims:
+            with tm.span("experiments.cell"):
+                if alpha not in matrices:
+                    matrices[alpha] = _matrix(ctx.graph, sc, grid.seed_offset, alpha)
+                    # Converge every destination the workload will touch
+                    # up front, in kernel blocks.
+                    ctx.routing.precompute({spec.dst for spec in matrices[alpha]})
+                capable = frozenset() if bgp else deployment_sample(ctx.graph, ratio)
+                provider = make_provider(cell.scheme, ctx.graph, ctx.routing, capable)
+                sims[key] = FluidSimulator(ctx.graph, provider, config).run(matrices[alpha])
+        results[cell] = sims[key]
+    cells = Cells(sc.name, grid, results)
+    meta: dict[str, object] = dict(provenance_meta(ctx))
+    if grid.axis == "alpha":
+        meta["deployment"] = grid.deployment
+    with tm.span("metrics.compute"):
+        series, measured = grid.metric(cells)
+    return ExperimentResult(
+        name=name,
+        scale=sc.name,
+        series=freeze_series(series),
+        meta={**meta, **measured},
+        raw=cells,
+    )
+
+
+def _matrix(
+    graph: ASGraph, sc: ExperimentScale, seed_offset: int, alpha: float | None
+) -> list[FlowSpec]:
+    """The scale's uniform matrix, or its power-law matrix at skew ``alpha``."""
+    seed = sc.seed + seed_offset
+    cfg = TrafficConfig(n_flows=sc.n_flows, arrival_rate=sc.arrival_rate, seed=seed)
+    if alpha is None:
+        return uniform_matrix(graph, cfg)
+    # The paper uses one million content providers; we use every AS ranked
+    # by connectivity, capped to keep the Zipf tail meaningful at scale.
+    cfg = dataclasses.replace(cfg, alpha=alpha)
+    return powerlaw_matrix(graph, cfg, n_providers=max(50, sc.n_ases // 20))

@@ -15,10 +15,10 @@ import os
 import pathlib
 import types
 from collections.abc import Iterable, Sequence
-from typing import Any
 
-from ..metrics.cdf import Cdf
 from . import fig5, fig6, fig7, fig8, fig9, fig12
+from .fig5 import cdf_curve, throughput_cdf
+from .result import ExperimentResult
 
 __all__ = ["write_dat", "export_all"]
 
@@ -43,13 +43,6 @@ def write_dat(
     p.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _cdf_rows(
-    cdf: Cdf, *, points: int = 60, hi: float = 1e9
-) -> list[tuple[float, float]]:
-    xs, ys = cdf.series(points=points, lo=0.0, hi=hi)
-    return [(x / 1e6, y) for x, y in zip(xs, ys)]
-
-
 def export_all(
     out_dir: str | os.PathLike,
     scale: str = "bench",
@@ -60,8 +53,8 @@ def export_all(
     out = pathlib.Path(out_dir)
     written: list[pathlib.Path] = []
 
-    def figure(mod: types.ModuleType) -> Any:
-        return mod.run(scale, backend=backend).raw
+    def figure(mod: types.ModuleType) -> ExperimentResult:
+        return mod.run(scale, backend=backend)
 
     def emit(
         name: str,
@@ -73,27 +66,17 @@ def export_all(
         write_dat(path, rows, columns=columns, comment=comment)
         written.append(path)
 
-    r5 = figure(fig5)
-    for dep in r5.deployments:
-        for scheme in ("BGP", "MIRO", "MIFO"):
-            emit(
-                f"fig5_{int(dep * 100)}pct_{scheme.lower()}",
-                _cdf_rows(r5.cdf(dep, scheme)),
-                ["throughput_mbps", "cdf_percent"],
-                f"Fig 5, {dep:.0%} deployment, {scheme}",
-            )
+    cdf_cols = ["throughput_mbps", "cdf_percent"]
+    for (scheme, dep), sim in figure(fig5).raw.results.items():
+        rows = cdf_curve(throughput_cdf(sim), 60)
+        comment = f"Fig 5, {dep:.0%} deployment, {scheme}"
+        emit(f"fig5_{int(dep * 100)}pct_{scheme.lower()}", rows, cdf_cols, comment)
+    for (scheme, alpha), sim in figure(fig6).raw.results.items():
+        rows = cdf_curve(throughput_cdf(sim), 60)
+        name = f"fig6_alpha{alpha:.1f}_{scheme.lower()}".replace(".", "_", 1)
+        emit(name, rows, cdf_cols, f"Fig 6, alpha={alpha}, {scheme}")
 
-    r6 = figure(fig6)
-    for alpha in r6.alphas:
-        for scheme in ("BGP", "MIRO", "MIFO"):
-            emit(
-                f"fig6_alpha{alpha:.1f}_{scheme.lower()}".replace(".", "_", 1),
-                _cdf_rows(r6.cdf(alpha, scheme)),
-                ["throughput_mbps", "cdf_percent"],
-                f"Fig 6, alpha={alpha}, {scheme}",
-            )
-
-    r7 = figure(fig7)
+    r7 = figure(fig7).raw
     for label, series in r7.series().items():
         safe = label.replace("% ", "pct_").replace("%", "pct").lower()
         emit(
@@ -103,26 +86,21 @@ def export_all(
             f"Fig 7, {label}",
         )
 
-    r8 = figure(fig8)
     emit(
         "fig8_offload",
-        [(dep * 100, r8.offload(dep) * 100) for dep in sorted(r8.results)],
+        figure(fig8).series["offload %"],
         ["deployment_pct", "offload_pct"],
         "Fig 8, traffic on alternative paths",
     )
 
-    r9 = figure(fig9)
     emit(
         "fig9_switches",
-        [
-            (k, r9.distribution.fraction_of_switching(k) * 100)
-            for k in range(1, 6)
-        ],
+        figure(fig9).series["% of switching flows"],
         ["switch_count", "pct_of_switching_flows"],
         "Fig 9, path switch distribution",
     )
 
-    r12 = figure(fig12)
+    r12 = figure(fig12).raw
     for run_ in (r12.bgp, r12.mifo):
         emit(
             f"fig12a_{run_.scheme.lower()}",

@@ -6,100 +6,106 @@ and plots the end-to-end throughput CDF of BGP vs MIRO vs MIFO at 100%,
 BGP; MIFO dominates MIRO at every deployment ratio (e.g. at 100%: ~80% of
 MIFO flows exceed 500 Mbps vs ~50% for MIRO); even 10% deployment yields a
 visible MIFO gain.
+
+Fig. 6 shares this module's throughput metric and CDF report.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from collections.abc import Sequence
 
-
-from .. import telemetry as tm
 from ..flowsim.simulator import FluidSimResult
 from ..metrics.cdf import Cdf
-from ..traffic.matrix import TrafficConfig, uniform_matrix
-from .common import (
-    SharedContext,
-    deployment_sample,
-    get_scale,
-    instrumented_run,
-    provenance_meta,
-    run_scheme,
-)
+from .common import Cells, Grid, Measured, Series, instrumented_run, run_grid
 from .report import ascii_series, percent, text_table
-from .result import ExperimentResult, freeze_series
+from .result import ExperimentResult
 
-__all__ = ["Fig5Result", "run"]
+__all__ = ["cdf_curve", "cdf_metric", "cdf_render", "run", "throughput_cdf"]
 
 DEPLOYMENTS = (1.0, 0.5, 0.1)
 SCHEMES = ("BGP", "MIRO", "MIFO")
 
 
-@dataclasses.dataclass
-class Fig5Result:
-    """CDF per (deployment ratio, scheme)."""
+def throughput_cdf(sim: FluidSimResult) -> Cdf:
+    """Per-flow throughput CDF of one simulation (bps)."""
+    return Cdf.from_samples(sim.throughputs_bps())
 
-    scale_name: str
-    #: (deployment, scheme) -> fluid result
-    results: dict[tuple[float, str], FluidSimResult]
 
-    def cdf(self, deployment: float, scheme: str) -> Cdf:
-        """Throughput CDF for one (deployment, scheme) cell."""
-        return Cdf.from_samples(self.results[(deployment, scheme)].throughputs_bps())
+def cdf_curve(cdf: Cdf, points: int = 40) -> list[tuple[float, float]]:
+    """``points`` (Mbps, CDF %) pairs over 0..1000 Mbps."""
+    xs, ys = cdf.series(points=points, lo=0.0, hi=1e9)
+    return list(zip(xs / 1e6, ys))
 
-    def fraction_at_least(
-        self, deployment: float, scheme: str, mbps: float = 500.0
-    ) -> float:
-        """Fraction of flows at or above ``mbps``."""
-        return self.cdf(deployment, scheme).fraction_at_least(mbps * 1e6)
 
-    @property
-    def deployments(self) -> list[float]:
-        """Deployment ratios present, descending."""
-        return sorted({dep for dep, _s in self.results}, reverse=True)
+def cdf_metric(cells: Cells) -> Measured:
+    """Per cell: the CDF curve, the median and the >=500 Mbps fraction."""
+    series: Series = {}
+    meta: dict[str, float] = {}
+    for (scheme, value), sim in cells.results.items():
+        label = f"{cells.grid.label(value)} {scheme}"
+        cdf = throughput_cdf(sim)
+        series[label] = cdf_curve(cdf)
+        meta[f"median_mbps[{label}]"] = cdf.median / 1e6
+        meta[f"frac_ge_500mbps[{label}]"] = cdf.fraction_at_least(500e6)
+    return series, meta
 
-    def rows(self) -> list[list[object]]:
-        """Table rows: one per (deployment, scheme)."""
-        rows = []
-        for dep in self.deployments:
-            for scheme in SCHEMES:
-                if scheme == "BGP" and dep != self.deployments[0]:
-                    continue  # BGP has no deployment knob
-                c = self.cdf(dep, scheme)
-                rows.append(
-                    [
-                        f"{dep:.0%}",
-                        scheme,
-                        f"{c.median / 1e6:.0f}",
-                        percent(c.fraction_at_least(500e6)),
-                        percent(c.fraction_at_least(100e6)),
-                    ]
-                )
-        return rows
 
-    def render(self) -> str:
-        """Human-readable report table."""
-        table = text_table(
-            ["Deployment", "Scheme", "Median Mbps", ">=500 Mbps", ">=100 Mbps"],
-            self.rows(),
-            title=f"Figure 5: Throughput vs deployment ratio (uniform traffic, scale={self.scale_name})",
-        )
-        plots = []
-        for dep in self.deployments:
-            series: dict[str, list[tuple[float, float]]] = {}
-            for scheme in SCHEMES:
-                key = (dep, scheme)
-                xs, ys = self.cdf(*key).series(points=40, lo=0.0, hi=1e9)
-                series[scheme] = list(zip(xs / 1e6, ys))
-            plots.append(
-                ascii_series(
-                    series,
-                    title=f"Fig 5 ({dep:.0%} deployed): CDF(%) vs throughput (Mbps)",
-                    xlabel="Mbps",
-                    ylabel="CDF %",
-                )
+def cdf_render(
+    cells: Cells,
+    title: str,
+    header: str,
+    text: str,
+    caption: str,
+    *,
+    reverse: bool = False,
+    thresholds: Sequence[int] = (500,),
+) -> str:
+    """A table row per distinct simulation, then a CDF plot per axis value,
+    values in sorted order.  ``text`` and ``caption`` format a value for
+    the table and for its plot's title."""
+    rows: list[list[object]] = []
+    plots: list[str] = []
+    listed: set[int] = set()
+    for value in sorted(cells.grid.values, reverse=reverse):
+        curves: Series = {}
+        for scheme in cells.grid.schemes:
+            sim = cells[scheme, value]
+            cdf = throughput_cdf(sim)
+            curves[scheme] = cdf_curve(cdf)
+            if id(sim) in listed:
+                continue  # BGP on a deployment axis: one run, one row
+            listed.add(id(sim))
+            rows.append(
+                [text.format(value), scheme, f"{cdf.median / 1e6:.0f}"]
+                + [percent(cdf.fraction_at_least(t * 1e6)) for t in thresholds]
             )
-        return table + "\n\n" + "\n\n".join(plots)
+        plots.append(
+            ascii_series(
+                curves,
+                title=f"{caption.format(value)}: CDF(%) vs throughput (Mbps)",
+                xlabel="Mbps",
+                ylabel="CDF %",
+            )
+        )
+    headers = [header, "Scheme", "Median Mbps"] + [f">={t} Mbps" for t in thresholds]
+    return text_table(headers, rows, title=title) + "\n\n" + "\n\n".join(plots)
+
+
+def render(cells: Cells) -> str:
+    """Fig. 5's table and one CDF plot per deployment, highest first."""
+    title = (
+        "Figure 5: Throughput vs deployment ratio "
+        f"(uniform traffic, scale={cells.scale_name})"
+    )
+    return cdf_render(
+        cells,
+        title,
+        "Deployment",
+        "{:.0%}",
+        "Fig 5 ({:.0%} deployed)",
+        reverse=True,
+        thresholds=(500, 100),
+    )
 
 
 @instrumented_run
@@ -111,37 +117,7 @@ def run(
     solver: str = "incremental",
 ) -> ExperimentResult:
     """Reproduce paper Fig. 5 (throughput vs deployment)."""
-    sc = get_scale(scale)
-    ctx = SharedContext.get(sc, backend=backend)
-    specs = uniform_matrix(
-        ctx.graph,
-        TrafficConfig(
-            n_flows=sc.n_flows, arrival_rate=sc.arrival_rate, seed=sc.seed + 1
-        ),
+    grid = Grid(
+        SCHEMES, "deployment", tuple(deployments), seed_offset=1, metric=cdf_metric, render=render
     )
-    results: dict[tuple[float, str], FluidSimResult] = {}
-    bgp_result = run_scheme(ctx, "BGP", frozenset(), specs, solver=solver)
-    for dep in deployments:
-        capable = deployment_sample(ctx.graph, dep)
-        results[(dep, "BGP")] = bgp_result
-        for scheme in ("MIRO", "MIFO"):
-            results[(dep, scheme)] = run_scheme(
-                ctx, scheme, capable, specs, solver=solver
-            )
-    raw = Fig5Result(scale_name=sc.name, results=results)
-
-    series: dict[str, list[tuple[float, float]]] = {}
-    meta: dict[str, object] = dict(provenance_meta(ctx))
-    with tm.span("metrics.compute"):
-        for dep in raw.deployments:
-            for scheme in SCHEMES:
-                c = raw.cdf(dep, scheme)
-                xs, ys = c.series(points=40, lo=0.0, hi=1e9)
-                series[f"{dep:.0%} {scheme}"] = list(zip(xs / 1e6, ys))
-                meta[f"median_mbps[{dep:.0%} {scheme}]"] = c.median / 1e6
-                meta[f"frac_ge_500mbps[{dep:.0%} {scheme}]"] = c.fraction_at_least(
-                    500e6
-                )
-    return ExperimentResult(
-        name="fig5", scale=sc.name, series=freeze_series(series), meta=meta, raw=raw
-    )
+    return run_grid("fig5", scale, grid, backend=backend, solver=solver)

@@ -13,13 +13,10 @@ it).
 :class:`ExperimentResult` is the common frozen envelope: a ``name``, the
 ``scale`` it ran at, plot-ready ``series`` (label -> ``(x, y)`` points),
 scalar ``meta`` headlines, and :meth:`to_json` for machine consumers.
-The figure-specific rich result object rides along as ``raw`` for callers
-that need the full typed API (benchmarks, the gnuplot exporter) —
-``result.raw.cdf(...)``, ``result.raw.improvement`` and friends.  The
-deprecated ``__getattr__`` forwarding shim that used to bridge
-pre-redesign call sites (``result.cdf(...)`` warning then delegating) is
-gone: attribute access that misses on the envelope now raises
-:class:`AttributeError` like any frozen dataclass.
+The figure's rich result rides along as ``raw`` for callers that need
+more (benchmarks, the gnuplot exporter).  For Figs. 5, 6, 8 and 9 it is
+a :class:`~repro.experiments.common.Cells`: one simulation per grid
+cell, read as ``result.raw["MIFO", 0.5]``.
 """
 
 from __future__ import annotations

@@ -9,6 +9,7 @@ import pytest
 
 from repro.experiments import REGISTRY, fig5, fig6, fig7, fig8, fig9, table1
 from repro.experiments.common import SCALES, SharedContext, deployment_sample, get_scale
+from repro.experiments.fig5 import throughput_cdf
 from repro.errors import ConfigError
 
 
@@ -102,14 +103,15 @@ class TestFig5:
         return fig5.run("test", deployments=(1.0, 0.5)).raw
 
     def test_mifo_beats_bgp_everywhere(self, result):
+        bgp = throughput_cdf(result["BGP", 1.0])
         for dep in (1.0, 0.5):
-            mifo = result.cdf(dep, "MIFO")
-            bgp = result.cdf(1.0, "BGP")
+            mifo = throughput_cdf(result["MIFO", dep])
             assert mifo.median >= bgp.median * 0.98
 
     def test_mifo_at_least_miro_at_full(self, result):
         assert (
-            result.cdf(1.0, "MIFO").median >= result.cdf(1.0, "MIRO").median * 0.95
+            throughput_cdf(result["MIFO", 1.0]).median
+            >= throughput_cdf(result["MIRO", 1.0]).median * 0.95
         )
 
     def test_render(self, result):
@@ -125,8 +127,8 @@ class TestFig6:
     def test_mifo_beats_bgp_under_skew(self, result):
         for alpha in (0.8, 1.2):
             assert (
-                result.cdf(alpha, "MIFO").median
-                >= result.cdf(alpha, "BGP").median * 0.98
+                throughput_cdf(result["MIFO", alpha]).median
+                >= throughput_cdf(result["BGP", alpha]).median * 0.98
             )
 
     def test_render(self, result):
@@ -139,14 +141,15 @@ class TestFig8:
         return fig8.run("test", deployments=(0.1, 0.5, 1.0)).raw
 
     def test_offload_grows_with_deployment(self, result):
-        assert result.offload(1.0) >= result.offload(0.1)
+        offload = fig8.offloads(result)
+        assert offload[1.0] >= offload[0.1]
 
     def test_full_deployment_offloads_substantially(self, result):
         # Paper: ~50% at full deployment; accept a broad band at test scale.
-        assert result.offload(1.0) > 0.15
+        assert fig8.offloads(result)[1.0] > 0.15
 
     def test_small_deployment_offloads_something(self, result):
-        assert result.offload(0.1) > 0.0
+        assert fig8.offloads(result)[0.1] > 0.0
 
     def test_render(self, result):
         assert "Figure 8" in result.render()
@@ -158,12 +161,12 @@ class TestFig9:
         return fig9.run("test").raw
 
     def test_most_switching_flows_switch_once(self, result):
-        d = result.distribution
+        d = fig9.distribution(result)
         if d.switching_flows:
             assert d.fraction_of_switching(1) > 0.4
 
     def test_vast_majority_at_most_twice(self, result):
-        d = result.distribution
+        d = fig9.distribution(result)
         if d.switching_flows:
             assert d.fraction_at_most(2) > 0.8
 

@@ -1,12 +1,13 @@
-"""Unit tests for the figure result containers (no simulation needed)."""
+"""Unit tests for the figure result containers and the grid figures'
+metrics and renders over hand-built cells (no simulation needed)."""
 
 import numpy as np
 import pytest
 
-from repro.experiments.fig5 import Fig5Result
-from repro.experiments.fig6 import Fig6Result
+from repro.experiments import fig5, fig6, fig8
+from repro.experiments.common import Cell, Cells, Grid
+from repro.experiments.fig5 import throughput_cdf
 from repro.experiments.fig7 import Fig7Result
-from repro.experiments.fig8 import Fig8Result
 from repro.flowsim.flow import FlowRecord
 from repro.flowsim.simulator import FluidSimResult
 
@@ -30,47 +31,67 @@ def result_with_throughputs(scheme, mbps_list, used_alt=0):
     return FluidSimResult(scheme, records, 1.0, 1, 1, 0)
 
 
+def cells_of(grid, results):
+    return Cells("unit", grid, {Cell(*k): v for k, v in results.items()})
+
+
 class TestFig5Result:
     @pytest.fixture
     def result(self):
-        return Fig5Result(
-            scale_name="unit",
-            results={
-                (1.0, "BGP"): result_with_throughputs("BGP", [100, 200, 300]),
-                (1.0, "MIRO"): result_with_throughputs("MIRO", [200, 300, 400]),
-                (1.0, "MIFO"): result_with_throughputs("MIFO", [400, 600, 800]),
+        bgp = result_with_throughputs("BGP", [100, 200, 300])
+        grid = Grid(fig5.SCHEMES, "deployment", (0.5, 1.0), 1, fig5.cdf_metric, fig5.render)
+        return cells_of(
+            grid,
+            {
+                ("BGP", 0.5): bgp,
+                ("MIRO", 0.5): result_with_throughputs("MIRO", [150, 250, 350]),
+                ("MIFO", 0.5): result_with_throughputs("MIFO", [300, 500, 700]),
+                ("BGP", 1.0): bgp,
+                ("MIRO", 1.0): result_with_throughputs("MIRO", [200, 300, 400]),
+                ("MIFO", 1.0): result_with_throughputs("MIFO", [400, 600, 800]),
             },
         )
 
     def test_fraction_at_least(self, result):
-        assert result.fraction_at_least(1.0, "MIFO", 500) == pytest.approx(2 / 3)
-        assert result.fraction_at_least(1.0, "BGP", 500) == 0.0
+        assert throughput_cdf(result["MIFO", 1.0]).fraction_at_least(500e6) == pytest.approx(2 / 3)
+        series, meta = fig5.cdf_metric(result)
+        assert meta["frac_ge_500mbps[100% MIFO]"] == pytest.approx(2 / 3)
+        assert meta["frac_ge_500mbps[100% BGP]"] == 0.0
+        assert meta["median_mbps[50% MIFO]"] == pytest.approx(500.0)
+        assert set(series) == {f"{d} {s}" for d in ("50%", "100%") for s in fig5.SCHEMES}
 
     def test_deployments_property(self, result):
-        assert result.deployments == [1.0]
+        # Deployments render highest first, whatever order the grid gives.
+        out = result.render()
+        assert out.index("Fig 5 (100% deployed)") < out.index("Fig 5 (50% deployed)")
 
     def test_rows_and_render(self, result):
-        rows = result.rows()
-        assert len(rows) == 3
         out = result.render()
-        assert "Figure 5" in out and "MIFO" in out
+        assert "Figure 5" in out and ">=100 Mbps" in out
+        rows = [line for line in out.splitlines() if line.lstrip().endswith("%")]
+        # BGP is one run shared by both deployments: one row, not two.
+        assert len(rows) == 5
+        assert sum("BGP" in row for row in rows) == 1
 
 
 class TestFig6Result:
     def test_alphas_sorted(self):
-        r = Fig6Result(
-            scale_name="unit",
-            results={
-                (1.2, "BGP"): result_with_throughputs("BGP", [100]),
-                (1.2, "MIRO"): result_with_throughputs("MIRO", [100]),
-                (1.2, "MIFO"): result_with_throughputs("MIFO", [100]),
-                (0.8, "BGP"): result_with_throughputs("BGP", [200]),
-                (0.8, "MIRO"): result_with_throughputs("MIRO", [200]),
-                (0.8, "MIFO"): result_with_throughputs("MIFO", [200]),
+        grid = Grid(fig5.SCHEMES, "alpha", (1.2, 0.8), 2, fig5.cdf_metric, fig6.render, 0.5)
+        r = cells_of(
+            grid,
+            {
+                (scheme, alpha): result_with_throughputs(scheme, [mbps])
+                for alpha, mbps in ((1.2, 100), (0.8, 200))
+                for scheme in fig5.SCHEMES
             },
         )
-        assert r.alphas == [0.8, 1.2]
-        assert "alpha" in r.render()
+        out = r.render()
+        assert "alpha" in out and "(50% deployment" in out
+        assert out.index("Fig 6 (alpha=0.8)") < out.index("Fig 6 (alpha=1.2)")
+        rows = [line for line in out.splitlines() if line.lstrip().endswith("%")]
+        assert len(rows) == 6  # every alpha has its own matrix, so its own BGP row
+        _series, meta = fig5.cdf_metric(r)
+        assert meta["median_mbps[alpha=0.8 MIFO]"] == pytest.approx(200.0)
 
 
 class TestFig7Result:
@@ -101,14 +122,17 @@ class TestFig7Result:
 
 class TestFig8Result:
     def test_offload_and_render(self):
-        r = Fig8Result(
-            scale_name="unit",
-            results={
-                0.1: result_with_throughputs("MIFO", [100] * 10, used_alt=1),
-                1.0: result_with_throughputs("MIFO", [100] * 10, used_alt=5),
+        grid = Grid(("MIFO",), "deployment", (1.0, 0.1), 4, fig8.metric, fig8.render)
+        r = cells_of(
+            grid,
+            {
+                ("MIFO", 0.1): result_with_throughputs("MIFO", [100] * 10, used_alt=1),
+                ("MIFO", 1.0): result_with_throughputs("MIFO", [100] * 10, used_alt=5),
             },
         )
-        assert r.offload(0.1) == pytest.approx(0.1)
-        assert r.offload(1.0) == pytest.approx(0.5)
+        assert fig8.offloads(r) == {0.1: pytest.approx(0.1), 1.0: pytest.approx(0.5)}
+        series, meta = fig8.metric(r)
+        assert series == {"offload %": [(10.0, pytest.approx(10.0)), (100.0, pytest.approx(50.0))]}
+        assert meta == {"offload[10%]": pytest.approx(0.1), "offload[100%]": pytest.approx(0.5)}
         out = r.render()
         assert "Figure 8" in out and "10%" in out
