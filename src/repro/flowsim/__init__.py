@@ -4,6 +4,7 @@ substitute behind Figures 5, 6, 8 and 9."""
 from .flow import ActiveFlow, FlowRecord, FlowSpec
 from .incremental import IncrementalMaxMin
 from .maxmin import build_incidence, maxmin_rates
+from .plane import FlowPlane
 from .providers import (
     BgpProvider,
     LinkView,
@@ -20,6 +21,7 @@ __all__ = [
     "build_incidence",
     "maxmin_rates",
     "IncrementalMaxMin",
+    "FlowPlane",
     "PathProvider",
     "LinkView",
     "BgpProvider",

@@ -1,4 +1,5 @@
-"""Event-driven fluid flow simulator (system S5 in DESIGN.md).
+"""Event-driven fluid flow simulator (system S5 in DESIGN.md), on a
+:class:`~repro.flowsim.plane.FlowPlane`.
 
 Models the AS-level network of the paper's Section IV: every directed
 inter-AS link is a 1 Gbps pipe (configurable); concurrent flows crossing a
@@ -7,10 +8,10 @@ a fixed number of bytes.  Between consecutive events (flow arrival or
 completion) rates are constant, so the simulation advances exactly — no
 time stepping, no discretization error.
 
-Congestion, the signal MIFO's deflection consumes, is per-directed-link
-utilization with hysteresis: a link becomes *congested* when its allocation
-reaches ``congest_threshold`` of capacity and *clears* only when the
-allocation falls below ``clear_threshold``.  The gap is what keeps flows
+Congestion, the signal MIFO's deflection consumes, is the plane's
+per-directed-link hysteresis bit: a link becomes *congested* when its
+allocation reaches ``congest_threshold`` of capacity and *clears* only when
+the allocation falls below ``clear_threshold``.  The gap is what keeps flows
 from flapping (paper Fig. 9: most flows switch paths at most twice).
 
 After every event that flips some link's congestion state, the provider
@@ -29,14 +30,18 @@ import numpy as np
 
 from .. import telemetry as tm
 from ..errors import NoRouteError, SimulationError
-from ..measure.rtt import RttModel
 from ..topology.asgraph import ASGraph
 from .flow import ActiveFlow, FlowRecord, FlowSpec
-from .incremental import IncrementalMaxMin
 from .maxmin import build_incidence, maxmin_rates
+from .plane import FlowPlane
 from .providers import LinkView, PathProvider
 
 __all__ = ["FluidSimConfig", "FluidSimResult", "FluidSimulator"]
+
+#: a flow with at most this many bytes left completes.
+_COMPLETION_TOL_BYTES = 1.0
+#: the ``solver_stats`` trace fields, in event order.
+_SOLVER_STATS = ("maxmin_iterations", "pool_hits", "cols_reused", "warm_rounds_saved")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -46,7 +51,6 @@ class FluidSimConfig:
     link_capacity_bps: float = 1e9
     congest_threshold: float = 0.95
     clear_threshold: float = 0.70
-    reroute: bool = True  #: allow mid-flow path switches (MIFO)
     #: a flow may switch paths at most once per this many (virtual)
     #: seconds — the measurement/daemon reaction interval of a real border
     #: router; the damping behind the paper's Fig-9 stability.
@@ -59,7 +63,6 @@ class FluidSimConfig:
     #: is, relative to real flows): stale enough to be routinely wrong,
     #: fresh enough to carry coarse load information.
     control_plane_interval: float = 0.5
-    completion_tol_bytes: float = 1.0
     #: unroutable (partitioned) flows raise by default; True records and
     #: skips them instead.
     skip_unroutable: bool = False
@@ -72,13 +75,6 @@ class FluidSimConfig:
     #: two are byte-identical in every result (cross-validated in
     #: ``tests/flowsim/test_crossvalidation.py``).
     solver: str = "incremental"
-    #: emit one ``rtt_sample`` trace event per active flow per event
-    #: loop iteration (the :mod:`repro.measure` observable).  Pure
-    #: observation: rates, paths, and records are untouched, and with
-    #: telemetry inactive nothing is computed at all.
-    rtt_sampling: bool = False
-    #: seed of the RTT observable's propagation/noise draws.
-    rtt_seed: int = 2014
 
     def validate(self) -> None:
         """Reject inconsistent configuration values."""
@@ -92,8 +88,6 @@ class FluidSimConfig:
             raise SimulationError(
                 f"solver {self.solver!r} not in ('incremental', 'full')"
             )
-        if self.rtt_seed < 0:
-            raise SimulationError("rtt_seed must be >= 0")
 
 
 @dataclasses.dataclass
@@ -141,81 +135,40 @@ class FluidSimulator:
         self.graph = graph
         self.provider = provider
         self.config = config or FluidSimConfig()
-        self.config.validate()
-        # Directed-link interning: (u, v) -> dense index.
-        self._link_idx: dict[tuple[int, int], int] = {}
-        self._alloc = np.zeros(0)  # allocated bps per directed link
-        self._congested = np.zeros(0, dtype=bool)
-        self._cap = np.zeros(0)  # per-link capacity, reused across events
+        cfg = self.config
+        cfg.validate()
+        self.plane = FlowPlane(
+            cfg.link_capacity_bps, cfg.congest_threshold, cfg.clear_threshold, group_rtol=1e-3
+        )
+        #: whether fills go through the plane's pooled solver (else the
+        #: cold ``maxmin_rates`` reference runs every event).
+        self._pooled = cfg.solver == "incremental"
+        self._cap_len = -1  # links covered by the solver's capacity vector
         # Stale control-plane snapshot (see control_plane_interval).
         self._stale_congested = np.zeros(0, dtype=bool)
         self._stale_alloc = np.zeros(0)
         self._next_cp_refresh = 0.0
-        #: the stateful pooled solver (None under solver="full").
-        self._pool: IncrementalMaxMin | None = None
-        if self.config.solver == "incremental":
-            self._pool = IncrementalMaxMin(
-                unconstrained_rate=self.config.link_capacity_bps
-            )
-        self._pool_cap_len = -1  # links covered by the pool's capacity
-        #: RTT observable (None unless the config enables sampling).
-        self._rtt_model: RttModel | None = None
-        if self.config.rtt_sampling:
-            self._rtt_model = RttModel(seed=self.config.rtt_seed)
 
     # ------------------------------------------------------------------
-    # congestion callbacks handed to providers
+    # the stale control-plane view handed to providers
     # ------------------------------------------------------------------
-    def _congested_fn(self, u: int, v: int) -> bool:
-        idx = self._link_idx.get((u, v))
-        return bool(self._congested[idx]) if idx is not None else False
-
-    def _spare_fn(self, u: int, v: int) -> float:
-        idx = self._link_idx.get((u, v))
-        if idx is None:
-            return self.config.link_capacity_bps
-        return max(0.0, self.config.link_capacity_bps - float(self._alloc[idx]))
-
     def _stale_congested_fn(self, u: int, v: int) -> bool:
-        idx = self._link_idx.get((u, v))
+        idx = self.plane.links.get((u, v))
         if idx is None or idx >= self._stale_congested.shape[0]:
             return False
         return bool(self._stale_congested[idx])
 
     def _stale_spare_fn(self, u: int, v: int) -> float:
-        idx = self._link_idx.get((u, v))
+        idx = self.plane.links.get((u, v))
         if idx is None or idx >= self._stale_alloc.shape[0]:
             return self.config.link_capacity_bps
         return max(0.0, self.config.link_capacity_bps - float(self._stale_alloc[idx]))
 
     def _maybe_refresh_control_plane(self, now: float) -> None:
         if now >= self._next_cp_refresh:
-            self._stale_congested = self._congested.copy()
-            self._stale_alloc = self._alloc.copy()
+            self._stale_congested = self.plane.congested.copy()
+            self._stale_alloc = self.plane.alloc.copy()
             self._next_cp_refresh = now + self.config.control_plane_interval
-
-    def _intern_path(self, path: tuple[int, ...]) -> list[int]:
-        ids = []
-        for i in range(len(path) - 1):
-            key = (path[i], path[i + 1])
-            idx = self._link_idx.get(key)
-            if idx is None:
-                idx = len(self._link_idx)
-                self._link_idx[key] = idx
-                if idx >= self._alloc.shape[0]:
-                    grow = max(64, self._alloc.shape[0])
-                    self._alloc = np.concatenate([self._alloc, np.zeros(grow)])
-                    self._congested = np.concatenate(
-                        [self._congested, np.zeros(grow, dtype=bool)]
-                    )
-                    self._cap = np.concatenate(
-                        [
-                            self._cap,
-                            np.full(grow, self.config.link_capacity_bps),
-                        ]
-                    )
-            ids.append(idx)
-        return ids
 
     # ------------------------------------------------------------------
     # main loop
@@ -223,10 +176,12 @@ class FluidSimulator:
     def run(self, specs: list[FlowSpec]) -> FluidSimResult:
         """Simulate ``specs`` to completion and collect records."""
         cfg = self.config
+        plane = self.plane
+        pool = plane.solver if self._pooled else None
         order = sorted(specs, key=lambda s: (s.start_time, s.flow_id))
         view = LinkView(
-            congested=self._congested_fn,
-            spare=self._spare_fn,
+            congested=plane.is_congested,
+            spare=plane.spare,
             stale_congested=self._stale_congested_fn,
             stale_spare=self._stale_spare_fn,
         )
@@ -243,7 +198,7 @@ class FluidSimulator:
             if t0 is not None
             else 0
         )
-        pool_before = self._pool.stats() if self._pool is not None else None
+        pool_before = pool.stats() if pool is not None else None
 
         def next_completion() -> float:
             best = math.inf
@@ -281,10 +236,10 @@ class FluidSimulator:
                 # preserves order).
                 still = []
                 for f in active:
-                    if f.remaining <= cfg.completion_tol_bytes:
+                    if f.remaining <= _COMPLETION_TOL_BYTES:
                         records.append(f.finalize(now))
-                        if self._pool is not None:
-                            self._pool.remove_flow(f.spec.flow_id)
+                        if pool is not None:
+                            pool.remove_flow(f.spec.flow_id)
                     else:
                         still.append(f)
                 active = still
@@ -303,29 +258,18 @@ class FluidSimulator:
                             unroutable += 1
                             continue
                         raise
-                    flow = ActiveFlow(
-                        spec, path, self._intern_path(path), on_alt
-                    )
+                    flow = ActiveFlow(spec, path, plane.intern_path(path), on_alt)
                     # Keep ``active`` ordered by flow id at insertion so
                     # the reroute pass never re-sorts it.
                     bisect.insort(active, flow, key=lambda f: f.spec.flow_id)
-                    if self._pool is not None:
-                        self._pool.add_flow(spec.flow_id, flow.link_ids)
+                    if pool is not None:
+                        pool.add_flow(spec.flow_id, flow.link_ids)
 
                 # Re-solve rates, update congestion, offer reroutes on flips.
                 newly_congested, any_cleared = self._reallocate(active)
                 reallocs += 1
-                if self._rtt_model is not None:
-                    self._emit_rtt_samples(active, now, events)
-                if (
-                    (newly_congested or any_cleared)
-                    and cfg.reroute
-                    and self.provider.supports_reroute
-                    and active
-                ):
-                    if self._offer_reroutes(
-                        active, now, view, newly_congested, any_cleared
-                    ):
+                if (newly_congested or any_cleared) and self.provider.supports_reroute and active:
+                    if self._offer_reroutes(active, now, view, newly_congested, any_cleared):
                         self._reallocate(active)
                         reallocs += 1
         finally:
@@ -336,18 +280,12 @@ class FluidSimulator:
             t.inc("flowsim.reallocations", reallocs)
             t.inc("flowsim.flows_completed", len(records))
             t.inc("flowsim.unroutable", unroutable)
-            if self._pool is not None and pool_before is not None:
-                after = self._pool.stats()
+            if pool is not None and pool_before is not None:
+                after = pool.stats()
                 t.event(
                     "solver_stats",
                     solver="incremental",
-                    maxmin_iterations=after["maxmin_iterations"]
-                    - pool_before["maxmin_iterations"],
-                    pool_hits=after["pool_hits"] - pool_before["pool_hits"],
-                    cols_reused=after["cols_reused"]
-                    - pool_before["cols_reused"],
-                    warm_rounds_saved=after["warm_rounds_saved"]
-                    - pool_before["warm_rounds_saved"],
+                    **{k: after[k] - pool_before[k] for k in _SOLVER_STATS},
                 )
             elif t is t0:
                 t.event(
@@ -371,38 +309,6 @@ class FluidSimulator:
         )
 
     # ------------------------------------------------------------------
-    def _emit_rtt_samples(
-        self, active: list[ActiveFlow], now: float, epoch: int
-    ) -> None:
-        """Emit one ``rtt_sample`` trace event per active flow.
-
-        Pure observation over the post-solve allocation — nothing in the
-        simulation reads the samples back, so enabling sampling cannot
-        change rates, paths, or records.  Skipped entirely when no
-        telemetry sink is active.
-        """
-        t = tm.active()
-        if t is None or not active:
-            return
-        model = self._rtt_model
-        assert model is not None
-        n = len(self._link_idx)
-        if n == 0:
-            return
-        util = np.clip(self._alloc[:n] / self._cap[:n], 0.0, 1.0)
-        delays = model.link_delays_ms(list(self._link_idx), util)
-        for f in active:
-            rtt = 2.0 * float(delays[f.link_ids].sum())
-            rtt = max(0.05, rtt + model.noise_ms(f.spec.flow_id, epoch))
-            t.event(
-                "rtt_sample",
-                flow=f.spec.flow_id,
-                rtt_ms=rtt,
-                time_s=now,
-                epoch=epoch,
-            )
-        t.inc("measure.rtt_samples", len(active))
-
     def _reallocate(self, active: list[ActiveFlow]) -> tuple[set[int], bool]:
         """Max-min re-solve.
 
@@ -414,45 +320,38 @@ class FluidSimulator:
         accumulate the same round-ordered ``freeze_count * rate`` deltas
         (see ``repro.flowsim.incremental``).
         """
-        cfg = self.config
-        n_links = len(self._link_idx)
-        alloc = self._alloc  # persistent buffer, zeroed and refilled
-        alloc.fill(0.0)
+        plane = self.plane
+        n_links = len(plane.links)
+        plane.alloc.fill(0.0)
         if active and n_links:
-            if self._pool is not None:
-                if self._pool_cap_len != n_links:
-                    self._pool.set_capacity(self._cap[:n_links])
-                    self._pool_cap_len = n_links
-                self._pool.solve()
-                alloc[:n_links] = self._pool.link_load()[:n_links]
+            if self._pooled:
+                pool = plane.solver
+                # Capacities never change here, so the vector is pushed
+                # only when links were interned since the last push.
+                if self._cap_len != n_links:
+                    pool.set_capacity(plane.residual())
+                    self._cap_len = n_links
+                pool.solve()
+                plane.read_load()
                 for f in active:
-                    f.rate = self._pool.rate_of(f.spec.flow_id) / 8.0
+                    f.rate = pool.rate_of(f.spec.flow_id) / 8.0
             else:
                 incidence = build_incidence(
                     [f.link_ids for f in active], n_links
                 )
                 rates = maxmin_rates(
                     incidence,
-                    self._cap[:n_links],
-                    unconstrained_rate=cfg.link_capacity_bps,
-                    load_out=alloc[:n_links],
+                    plane.residual(),
+                    unconstrained_rate=self.config.link_capacity_bps,
+                    load_out=plane.alloc[:n_links],
                 )
                 rates_bytes = rates / 8.0
                 for f, r in zip(active, rates_bytes):
                     f.rate = float(r)
         else:
             for f in active:
-                f.rate = cfg.link_capacity_bps / 8.0
-        # Hysteresis congestion update.
-        hi = cfg.congest_threshold * cfg.link_capacity_bps
-        lo = cfg.clear_threshold * cfg.link_capacity_bps
-        old = self._congested.copy()
-        view = self._congested
-        view[alloc >= hi] = True
-        view[alloc <= lo] = False
-        newly_congested = set(np.flatnonzero(view & ~old).tolist())
-        any_cleared = bool((old & ~view).any())
-        return newly_congested, any_cleared
+                f.rate = self.config.link_capacity_bps / 8.0
+        return plane.update_congestion()
 
     def _offer_reroutes(
         self,
@@ -490,16 +389,12 @@ class FluidSimulator:
             path, on_alt = decision
             if path == f.path:
                 continue
+            new_ids = self.plane.intern_path(path)
             # ``f.rate`` is bytes/s; the allocation estimate is bps.
-            rate = f.rate * 8.0
-            for idx in f.link_ids:
-                self._alloc[idx] = max(0.0, self._alloc[idx] - rate)
-            new_ids = self._intern_path(path)
-            for idx in new_ids:
-                self._alloc[idx] += rate
+            self.plane.shift(f.link_ids, new_ids, f.rate * 8.0)
             f.switch_to(path, new_ids, on_alt, now)
-            if self._pool is not None:
-                self._pool.move_flow(f.spec.flow_id, new_ids)
+            if self._pooled:
+                self.plane.solver.move_flow(f.spec.flow_id, new_ids)
             t = tm.active()
             if t is not None:
                 t.event(

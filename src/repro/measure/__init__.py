@@ -17,8 +17,8 @@ over the telemetry layer:
 The scenario engine samples RTT per active path each epoch when its
 ``detector`` config selects ``"threshold"`` or ``"changepoint"``, and
 deflects flows on detected upward regime shifts instead of the oracle
-congestion bits.  The fluid simulator can emit the same ``rtt_sample``
-trace events via ``FluidSimConfig.rtt_sampling``.
+congestion bits.  That pass is the only producer of ``rtt_sample``
+trace events; the fluid simulator takes no samples.
 """
 
 from __future__ import annotations

@@ -16,13 +16,13 @@ timeline.  Each event runs the same eight-step procedure:
 4. **re-route** exactly those flows through a fresh
    :class:`~repro.mifo.deflection.MifoPathBuilder` walk under the current
    congestion state;
-5. **re-solve** max-min rates through the engine's one stateful
-   :class:`~repro.flowsim.incremental.IncrementalMaxMin` (the same pooled
-   solver the fluid simulator drives); an event that moved no path and no
-   capacity is a memo hit and skips the fill;
-6. **update congestion** bits with the fluid simulator's hysteresis and
-   run one congestion-response pass (deflect flows newly congested,
-   offer resumes when something cleared) — mirroring
+5. **re-solve** max-min rates through the solver of the engine's
+   :class:`~repro.flowsim.plane.FlowPlane` (the plane the fluid simulator
+   drives too); an event that moved no path and no capacity is a memo hit
+   and skips the fill;
+6. **update congestion** bits with the plane's hysteresis and run one
+   congestion-response pass (deflect flows newly congested, offer resumes
+   when something cleared) — mirroring
    ``FluidSimulator._offer_reroutes`` so dynamic behavior matches the
    static experiments';
 7. **re-certify**: the verifier statically re-proves loop-freedom,
@@ -59,6 +59,7 @@ import numpy as np
 from .. import telemetry as tm
 from ..errors import ConfigError, NoRouteError, SimulationError, VerificationError
 from ..flowsim.incremental import IncrementalMaxMin
+from ..flowsim.plane import FlowPlane
 from ..measure.changepoint import DetectorConfig
 from ..measure.rtt import PathRttMonitor
 from ..mifo.deflection import MifoPathBuilder
@@ -75,6 +76,9 @@ if TYPE_CHECKING:  # pragma: no cover - types only
     from ..flowsim.flow import FlowSpec
 
 __all__ = ["EventEffect", "EventRecord", "ScenarioConfig", "ScenarioEngine", "ScenarioRun"]
+
+#: salt for the per-event RNG streams of traffic events.
+_EVENT_SEED_SALT = 7919
 
 
 @dataclasses.dataclass(frozen=True)
@@ -97,8 +101,6 @@ class ScenarioConfig:
     #: max-min solver) against a from-scratch recomputation after every
     #: event (slow; tests and CI only).
     crosscheck: bool = False
-    #: salt for the per-event RNG streams of traffic events.
-    seed_salt: int = 7919
     #: bound on retained :class:`EventRecord` rows (``None`` = unbounded,
     #: the batch default).  Service mode sets a finite ring so an
     #: unbounded stream holds steady memory.
@@ -255,8 +257,11 @@ class ScenarioEngine:
             backend=backend,
             recompute="dirty" if self.config.mode == "incremental" else "all",
         )
-        self.solver = IncrementalMaxMin(
-            unconstrained_rate=self.config.link_capacity_bps, group_rtol=0.0
+        cfg = self.config
+        #: per-link state and the one pooled solver; ``group_rtol=0`` is
+        #: the value the ``serve`` checkpoints were recorded at.
+        self.plane = FlowPlane(
+            cfg.link_capacity_bps, cfg.congest_threshold, cfg.clear_threshold, group_rtol=0.0
         )
         #: flow id -> flow, insertion order == ascending flow id.
         self._flows: dict[int, _SimFlow] = {}
@@ -266,12 +271,6 @@ class ScenarioEngine:
             self._flows[d.flow_id] = _SimFlow(d.flow_id, d.src, d.dst)
         self._base_demand = max(1, len(demands))
         self._next_flow_id = 1 + max((d.flow_id for d in demands), default=-1)
-        # Directed-link interning (same discipline as FluidSimulator).
-        self._link_idx: dict[tuple[int, int], int] = {}
-        self._alloc = np.zeros(0)
-        self._congested = np.zeros(0, dtype=bool)
-        self._cap_factor = np.ones(0)
-        self._exo_frac = np.zeros(0)
         #: failed links, most recent last: (u, v, relationship of v from u).
         self._failed: list[tuple[int, int, Relationship]] = []
         self._event_no = -1  # the initial routing pass is epoch 0
@@ -288,54 +287,10 @@ class ScenarioEngine:
             maxlen=self.config.record_capacity
         )
 
-    # ------------------------------------------------------------------
-    # link interning & data-plane state
-    # ------------------------------------------------------------------
-    def _intern_link(self, u: int, v: int) -> int:
-        key = (u, v)
-        idx = self._link_idx.get(key)
-        if idx is None:
-            idx = len(self._link_idx)
-            self._link_idx[key] = idx
-            if idx >= self._alloc.shape[0]:
-                grow = max(64, self._alloc.shape[0])
-                self._alloc = np.concatenate([self._alloc, np.zeros(grow)])
-                self._congested = np.concatenate(
-                    [self._congested, np.zeros(grow, dtype=bool)]
-                )
-                self._cap_factor = np.concatenate(
-                    [self._cap_factor, np.ones(grow)]
-                )
-                self._exo_frac = np.concatenate(
-                    [self._exo_frac, np.zeros(grow)]
-                )
-        return idx
-
-    def _intern_path(self, path: tuple[int, ...]) -> list[int]:
-        return [
-            self._intern_link(path[i], path[i + 1]) for i in range(len(path) - 1)
-        ]
-
-    def _capacity_of(self, idx: int) -> float:
-        return self.config.link_capacity_bps * float(self._cap_factor[idx])
-
-    def _residual_capacity(self) -> np.ndarray:
-        """Per-link capacity left for simulated flows (dense, bps)."""
-        n = len(self._link_idx)
-        cap = self.config.link_capacity_bps * self._cap_factor[:n]
-        return cap * (1.0 - self._exo_frac[:n])
-
-    def _congested_fn(self, u: int, v: int) -> bool:
-        idx = self._link_idx.get((u, v))
-        return bool(self._congested[idx]) if idx is not None else False
-
-    def _spare_fn(self, u: int, v: int) -> float:
-        idx = self._link_idx.get((u, v))
-        if idx is None:
-            return self.config.link_capacity_bps
-        cap = self._capacity_of(idx)
-        used = float(self._alloc[idx]) + float(self._exo_frac[idx]) * cap
-        return max(0.0, cap - used)
+    @property
+    def solver(self) -> IncrementalMaxMin:
+        """The plane's pooled max-min solver."""
+        return self.plane.solver
 
     # ------------------------------------------------------------------
     # symbolic target resolution (deterministic)
@@ -359,12 +314,10 @@ class ScenarioEngine:
         natural target for a clear event).  Resolution depends only on
         simulation state, so both update modes pick identical targets.
         """
+        plane = self.plane
         if strategy == "mid-load":
-            n = len(self._link_idx)
-            pairs = list(self._link_idx)
-            cap = self.config.link_capacity_bps * self._cap_factor[:n]
-            load = self._alloc[:n] + self._exo_frac[:n] * cap
-            util = np.divide(load, cap, out=np.ones(n), where=cap > 0)
+            pairs = list(plane.links)
+            util = plane.utilization()
             used: dict[int, bool] = {}
             for f in self._flows.values():
                 if f.path is None:
@@ -377,9 +330,9 @@ class ScenarioEngine:
             return pairs[best]
         if strategy == "loaded":
             loaded = [
-                (float(self._exo_frac[idx]), (u, v))
-                for (u, v), idx in self._link_idx.items()
-                if self._exo_frac[idx] > 0
+                (float(plane.exo_frac[idx]), (u, v))
+                for (u, v), idx in plane.links.items()
+                if plane.exo_frac[idx] > 0
             ]
             if not loaded:
                 raise ConfigError("no exogenously loaded link to pick")
@@ -430,7 +383,7 @@ class ScenarioEngine:
     def _event_rng(self) -> np.random.Generator:
         # One independent, deterministic stream per timeline position.
         return np.random.default_rng(
-            self.seed + self.config.seed_salt * (self._event_no + 1)
+            self.seed + _EVENT_SEED_SALT * (self._event_no + 1)
         )
 
     # ------------------------------------------------------------------
@@ -480,31 +433,17 @@ class ScenarioEngine:
         return EventEffect(dirty=dirty, target=f"link {lo}-{hi}")
 
     def scale_capacity(self, u: int, v: int, factor: float) -> EventEffect:
-        """Set both directions of ``u``–``v`` to ``factor`` × base capacity."""
-        changed = []
-        for a, b in ((u, v), (v, u)):
-            idx = self._intern_link(a, b)
-            if self._cap_factor[idx] != factor:
-                self._cap_factor[idx] = factor
-                changed.append(idx)
+        """Set both directions of ``u``–``v`` to ``factor`` × base capacity
+        (``factor`` finite and >= 0, else :class:`ConfigError`)."""
+        changed = self.plane.scale_link(u, v, factor)
         lo, hi = (u, v) if u <= v else (v, u)
-        return EventEffect(
-            capacity_changed=tuple(changed), target=f"link {lo}-{hi} x{factor:g}"
-        )
+        return EventEffect(capacity_changed=changed, target=f"link {lo}-{hi} x{factor:g}")
 
     def set_exogenous_load(self, u: int, v: int, utilization: float) -> EventEffect:
         """Set scripted cross-traffic on both directions of ``u``–``v``."""
-        changed = []
-        for a, b in ((u, v), (v, u)):
-            idx = self._intern_link(a, b)
-            if self._exo_frac[idx] != utilization:
-                self._exo_frac[idx] = utilization
-                changed.append(idx)
+        changed = self.plane.load_link(u, v, utilization)
         lo, hi = (u, v) if u <= v else (v, u)
-        return EventEffect(
-            capacity_changed=tuple(changed),
-            target=f"link {lo}-{hi} @{utilization:g}",
-        )
+        return EventEffect(capacity_changed=changed, target=f"link {lo}-{hi} @{utilization:g}")
 
     def observe_only(self) -> EventEffect:
         """A no-op event primitive (backs ``MeasureTick``): advances the
@@ -639,7 +578,7 @@ class ScenarioEngine:
         old = f.path
         try:
             outcome = builder.build_path(
-                f.src, f.dst, self._congested_fn, self._spare_fn
+                f.src, f.dst, self.plane.is_congested, self.plane.spare
             )
         except NoRouteError:
             f.path = None
@@ -649,7 +588,7 @@ class ScenarioEngine:
             self.solver.remove_flow(f.flow_id)
             return old is not None
         f.path = outcome.path
-        f.link_ids = self._intern_path(outcome.path)
+        f.link_ids = self.plane.intern_path(outcome.path)
         f.on_alt = outcome.used_alternative
         if old == outcome.path:
             return False
@@ -662,8 +601,9 @@ class ScenarioEngine:
         return True
 
     def _solve(self) -> None:
-        solver = self.solver
-        solver.set_capacity(self._residual_capacity())
+        plane = self.plane
+        solver = plane.solver
+        solver.set_capacity(plane.residual())
         if self.config.mode == "full":
             solver.invalidate()
         if solver.pending:
@@ -677,24 +617,7 @@ class ScenarioEngine:
             tm.inc("flowsim.warm_hits")
         for f in self._flows.values():
             f.rate = solver.rate_of(f.flow_id) if f.path is not None else 0.0
-        self._alloc = np.zeros(self._congested.shape[0])
-        n = len(self._link_idx)
-        self._alloc[:n] = solver.link_load()[:n]
-
-    def _update_congestion(self) -> tuple[set[int], bool]:
-        """Hysteresis congestion update (same thresholds as the fluid sim);
-        load counts both allocated and exogenous traffic."""
-        cfg = self.config
-        n = len(self._link_idx)
-        cap = cfg.link_capacity_bps * self._cap_factor[:n]
-        load = self._alloc[:n] + self._exo_frac[:n] * cap
-        old = self._congested[:n].copy()
-        view = self._congested[:n]
-        view[load >= cfg.congest_threshold * cap] = True
-        view[load <= cfg.clear_threshold * cap] = False
-        newly = set(np.flatnonzero(view & ~old).tolist())
-        any_cleared = bool((old & ~view).any())
-        return newly, any_cleared
+        plane.read_load()
 
     def _respond(
         self, builder: MifoPathBuilder, trigger: set[int], any_cleared: bool
@@ -721,14 +644,10 @@ class ScenarioEngine:
                     continue
             elif f.flow_id not in trigger:
                 continue
-            old_ids = list(f.link_ids)
-            rate = f.rate
+            old_ids, rate = f.link_ids, f.rate  # an unroutable walk zeroes both
             if self._route_flow(f, builder):
                 moved += 1
-                for idx in old_ids:
-                    self._alloc[idx] = max(0.0, self._alloc[idx] - rate)
-                for idx in f.link_ids:
-                    self._alloc[idx] += rate
+                self.plane.shift(old_ids, f.link_ids, rate)
                 tm.event(
                     "path_switch",
                     flow=f.flow_id,
@@ -747,10 +666,7 @@ class ScenarioEngine:
         the deflection candidates of this epoch."""
         mon = self._rtt
         assert mon is not None
-        n = len(self._link_idx)
-        cap = self.config.link_capacity_bps * self._cap_factor[:n]
-        load = self._alloc[:n] + self._exo_frac[:n] * cap
-        util = np.divide(load, cap, out=np.ones(n), where=cap > 0)
+        util = self.plane.utilization()
         np.clip(util, 0.0, 1.0, out=util)
         flows = [
             (f.flow_id, f.link_ids)
@@ -758,7 +674,7 @@ class ScenarioEngine:
             if f.path is not None
         ]
         samples, alarms = mon.observe_epoch(
-            self._event_no, flows, list(self._link_idx), util
+            self._event_no, flows, list(self.plane.links), util
         )
         t = tm.active()
         if t is not None:
@@ -859,7 +775,7 @@ class ScenarioEngine:
                 if self._route_flow(f, builder):
                     rerouted += 1
             self._solve()
-            trigger, any_cleared = self._update_congestion()
+            trigger, any_cleared = self.plane.update_congestion()
             if self._rtt is not None:
                 # Measurement-driven loop: the hysteresis bits above still
                 # steer *where* alternatives go (the builder consults
@@ -871,7 +787,7 @@ class ScenarioEngine:
                 builder, trigger, any_cleared
             ):
                 self._solve()
-                self._update_congestion()
+                self.plane.update_congestion()
 
             verified = 0
             do_verify = self.config.verify if verify is None else verify
@@ -892,7 +808,6 @@ class ScenarioEngine:
     ) -> None:
         routed = [f for f in self._flows.values() if f.path is not None]
         unroutable = len(self._flows) - len(routed)
-        n = len(self._link_idx)
         total_bps = float(sum(f.rate for f in routed))
         record = EventRecord(
             index=self._event_no,
@@ -904,7 +819,7 @@ class ScenarioEngine:
             flows_unroutable=unroutable,
             flows_total=len(self._flows),
             deflected_flows=sum(f.on_alt for f in routed),
-            congested_links=int(self._congested[:n].sum()),
+            congested_links=int(self.plane.congested.sum()),
             verified_dests=verified,
             mean_rate_mbps=(total_bps / len(routed) / 1e6) if routed else 0.0,
             total_throughput_gbps=total_bps / 1e9,

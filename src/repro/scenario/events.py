@@ -22,6 +22,7 @@ import dataclasses
 from typing import TYPE_CHECKING, Protocol, Union
 
 from ..errors import ConfigError
+from ..flowsim.plane import check_capacity_factor
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from .engine import EventEffect, ScenarioEngine
@@ -125,8 +126,7 @@ class CapacityScale:
 
     def apply(self, engine: "ScenarioEngine") -> "EventEffect":
         """Resolve the target link and rescale its capacity."""
-        if self.factor < 0.0:
-            raise ConfigError(f"capacity factor {self.factor} must be >= 0")
+        check_capacity_factor(self.factor)  # before the engine is consulted
         u, v = _resolve_link(engine, self.u, self.v, self.pick)
         return engine.scale_capacity(u, v, self.factor)
 

@@ -49,6 +49,7 @@ import numpy as np
 
 from .. import telemetry as tm
 from ..errors import ConfigError, ReproError
+from ..flowsim.plane import check_capacity_factor
 from ..scenario.engine import EventRecord, _SimFlow
 from ..scenario.incremental import IncrementalRouting
 from ..telemetry import Telemetry
@@ -76,7 +77,8 @@ def capture(session: Any) -> dict[str, Any]:
     mid-step state, so this holds by construction for API users).
     """
     eng = session.engine
-    n = len(eng._link_idx)
+    plane = eng.plane
+    n = len(plane.links)
     flows = [
         [
             f.flow_id,
@@ -152,11 +154,11 @@ def capture(session: Any) -> dict[str, Any]:
             "event_no": eng.epoch,
             "next_flow_id": eng.next_flow_id,
             "failed": [[u, v, rel.name] for u, v, rel in eng.failed_links],
-            "links": [[int(u), int(v)] for u, v in eng._link_idx],
-            "cap_factor": [float(x) for x in eng._cap_factor[:n]],
-            "exo_frac": [float(x) for x in eng._exo_frac[:n]],
-            "congested": [int(x) for x in eng._congested[:n]],
-            "alloc": [float(x) for x in eng._alloc[:n]],
+            "links": [[int(u), int(v)] for u, v in plane.links],
+            "cap_factor": [float(x) for x in plane.cap_factor[:n]],
+            "exo_frac": [float(x) for x in plane.exo_frac[:n]],
+            "congested": [int(x) for x in plane.congested[:n]],
+            "alloc": [float(x) for x in plane.alloc[:n]],
             "flows": flows,
             "records": [dataclasses.asdict(r) for r in eng.records],
             "routing_dests": sorted(eng.routing.cached_destinations()),
@@ -334,20 +336,22 @@ def _restore_engine(
         counters = es["counters"]
         eng.routing.dests_recomputed = int(counters["dests_recomputed"])
         eng.routing.dests_rebased = int(counters["dests_rebased"])
-    # 3. Directed-link interning, in checkpointed order, then the dense
-    # data-plane arrays verbatim (hysteresis bits must NOT be recomputed
+    # 3. The plane's link table, in checkpointed order, then its dense
+    # per-link arrays verbatim (hysteresis bits must NOT be recomputed
     # — they are state, not a function of current load).
+    plane = eng.plane
     with _field("engine.links"):
         for u, v in es["links"]:
-            eng._intern_link(int(u), int(v))
+            plane.intern_link(int(u), int(v))
         n = len(es["links"])
-    if len(eng._link_idx) != n:
+    if len(plane.links) != n:
         raise ConfigError("checkpoint field engine.links lists a link twice")
-    eng._cap_factor[:n] = _column(es, "cap_factor", n, np.float64)
-    eng._exo_frac[:n] = _column(es, "exo_frac", n, np.float64)
-    eng._congested[:n] = _column(es, "congested", n, bool)
-    eng._alloc = np.zeros(eng._congested.shape[0])
-    eng._alloc[:n] = _column(es, "alloc", n, np.float64)
+    cap_factor = _column(es, "cap_factor", n, np.float64)
+    check_capacity_factor(cap_factor)
+    plane.cap_factor[:n] = cap_factor
+    plane.exo_frac[:n] = _column(es, "exo_frac", n, np.float64)
+    plane.congested[:n] = _column(es, "congested", n, bool)
+    plane.alloc[:n] = _column(es, "alloc", n, np.float64)
     # 4. The flow population (insertion order == checkpoint order ==
     # ascending registration order).  A path must be one the live engine
     # could have routed: from src to dst over links of the replayed graph.
@@ -369,7 +373,7 @@ def _restore_engine(
                         f"checkpoint flow {f.flow_id}: path {list(f.path)} does not "
                         f"run from {f.src} to {f.dst} over links of the topology"
                     )
-                f.link_ids = eng._intern_path(f.path)
+                f.link_ids = plane.intern_path(f.path)
                 f.on_alt = bool(on_alt)
             f.switches = int(switches)
             f.rate = float(rate)
@@ -386,7 +390,7 @@ def _restore_engine(
     for f in eng._flows.values():
         if f.path is not None:
             pool.add_flow(f.flow_id, f.link_ids)
-    pool.set_capacity(eng._residual_capacity())
+    pool.set_capacity(plane.residual())
     pool.solve()
     # Seed the free-list *after* the live flows (so they don't consume
     # the recycled segments) — replay then recycles columns exactly as

@@ -49,6 +49,21 @@ __all__ = [
 _STREAM_SALT = 411_934_003
 
 
+def _pick_link(engine: "ScenarioEngine", pick: float, verb: str) -> tuple[int, int]:
+    """The live link at fraction ``pick`` of the sorted link list.
+
+    ``pick`` must be a number in [0, 1]; anything else (NaN, inf, a
+    negative that would index from the end) is a :class:`ConfigError`.
+    """
+    if not (isinstance(pick, (int, float)) and 0.0 <= pick <= 1.0):
+        raise ConfigError(f"pick must be a number in [0, 1], got pick={pick!r}")
+    links = engine.graph.links()
+    if not links:
+        raise SimulationError(f"graph has no links left to {verb}")
+    u, v, _rel = links[min(int(pick * len(links)), len(links) - 1)]
+    return u, v
+
+
 @dataclasses.dataclass(frozen=True)
 class FlowArrival:
     """One flow joins the population for ``lifetime`` stream events."""
@@ -85,11 +100,7 @@ class LinkFlap:
         failed = engine.failed_links
         if failed and (self.recover_draw < 0.5 or len(failed) >= self.max_failed):
             return engine.recover_link()
-        links = engine.graph.links()
-        if not links:
-            raise SimulationError("graph has no links left to fail")
-        u, v, _rel = links[min(int(self.pick * len(links)), len(links) - 1)]
-        return engine.fail_link(u, v)
+        return engine.fail_link(*_pick_link(engine, self.pick, "fail"))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -106,11 +117,7 @@ class CapacityJitter:
 
     def apply(self, engine: "ScenarioEngine") -> "EventEffect":
         """Resolve the victim link and rescale its capacity."""
-        links = engine.graph.links()
-        if not links:
-            raise SimulationError("graph has no links left to jitter")
-        u, v, _rel = links[min(int(self.pick * len(links)), len(links) - 1)]
-        return engine.scale_capacity(u, v, self.factor)
+        return engine.scale_capacity(*_pick_link(engine, self.pick, "jitter"), self.factor)
 
 
 StreamEvent = Union[FlowArrival, LinkFlap, CapacityJitter]

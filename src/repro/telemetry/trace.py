@@ -34,8 +34,8 @@ Event kinds:
     path pool and the warm-start memo avoided.
 ``rtt_sample``
     One per-flow path RTT observation (``repro.measure.rtt``), taken
-    once per epoch by the scenario engine's measurement pass or per
-    control interval by the fluid simulator.
+    once per epoch by the scenario engine's measurement pass (the fluid
+    simulator takes none).
 ``changepoint``
     A confirmed RTT regime shift on one flow's series
     (``repro.measure.changepoint``): when the shift was detected

@@ -255,54 +255,26 @@ class TestSolverModes:
 
 
 class TestRttSampling:
-    """The fluid simulator's opt-in RTT observable."""
+    """The RTT observable lives in the scenario engine's
+    ``PathRttMonitor``; the fluid simulator takes no samples."""
 
     SPECS = [
         FlowSpec(flow_id=1, src=1, dst=5, size_bytes=4e6, start_time=0.0),
         FlowSpec(flow_id=2, src=2, dst=5, size_bytes=4e6, start_time=0.004),
     ]
 
-    def _traced(self, graph, **cfg):
+    def test_off_by_default(self, fig11_graph):
         from repro import telemetry as tm
         from repro.telemetry import Telemetry
 
         telem = Telemetry()
         tm.activate(telem)
         try:
-            res = mifo_sim(graph, **cfg).run(self.SPECS)
+            mifo_sim(fig11_graph).run(self.SPECS)
         finally:
             tm.activate(None)
-        return res, telem.trace_events(), dict(telem.counters)
-
-    def test_off_by_default(self, fig11_graph):
-        _, events, counters = self._traced(fig11_graph)
-        assert not any(e["kind"] == "rtt_sample" for e in events)
-        assert "measure.rtt_samples" not in counters
-
-    def test_sampling_emits_per_flow_events(self, fig11_graph):
-        res, events, counters = self._traced(fig11_graph, rtt_sampling=True)
-        samples = [e for e in events if e["kind"] == "rtt_sample"]
-        assert counters["measure.rtt_samples"] == len(samples) > 0
-        assert {s["flow"] for s in samples} == {1, 2}
-        assert all(s["rtt_ms"] > 0 for s in samples)
-        assert all("time_s" in s for s in samples)
-
-    def test_sampling_does_not_perturb_the_physics(self, fig11_graph):
-        plain = mifo_sim(fig11_graph).run(self.SPECS).records
-        sampled, _, _ = self._traced(fig11_graph, rtt_sampling=True)
-        assert sampled.records == plain
-
-    def test_rtt_seed_changes_samples_only(self, fig11_graph):
-        res_a, ev_a, _ = self._traced(fig11_graph, rtt_sampling=True, rtt_seed=1)
-        res_b, ev_b, _ = self._traced(fig11_graph, rtt_sampling=True, rtt_seed=2)
-        assert res_a.records == res_b.records
-        rtts_a = [e["rtt_ms"] for e in ev_a if e["kind"] == "rtt_sample"]
-        rtts_b = [e["rtt_ms"] for e in ev_b if e["kind"] == "rtt_sample"]
-        assert rtts_a != rtts_b
-
-    def test_bad_rtt_seed_rejected(self):
-        with pytest.raises(SimulationError):
-            FluidSimConfig(rtt_seed=-1).validate()
+        assert not any(e["kind"] == "rtt_sample" for e in telem.trace_events())
+        assert "measure.rtt_samples" not in telem.counters
 
 
 class _SpareChooser(PathProvider):

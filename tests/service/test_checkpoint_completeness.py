@@ -1,7 +1,7 @@
 """Checkpoint completeness, checked against the live program.
 
 A session runs, checkpoints and restores; then every instance attribute
-(``__slots__`` included) of the eight checkpoint-target classes is
+(``__slots__`` included) of the nine checkpoint-target classes is
 compared, live against restored: numpy arrays by dtype, shape and bytes,
 containers element by element (dicts in insertion order), routing views
 by their converged tables.  The only names skipped are those in a
@@ -21,6 +21,7 @@ import pytest
 from repro.bgp.array_routing import ArrayDestinationRouting
 from repro.bgp.propagation import DestinationRouting
 from repro.flowsim.incremental import IncrementalMaxMin
+from repro.flowsim.plane import FlowPlane
 from repro.measure.changepoint import OnlineDetector
 from repro.measure.rtt import PathRttMonitor
 from repro.scenario.engine import ScenarioEngine, _SimFlow
@@ -36,6 +37,7 @@ TARGETS = (
     EventStream,
     ScenarioEngine,
     _SimFlow,
+    FlowPlane,
     IncrementalRouting,
     IncrementalMaxMin,
     PathRttMonitor,

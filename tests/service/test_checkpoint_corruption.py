@@ -21,6 +21,7 @@ import functools
 import json
 import operator
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -200,6 +201,33 @@ class TestHostileDocument:
         pos, row = _routed_flow(bad)
         bad["engine"]["flows"].insert(pos + 1, copy.deepcopy(row))
         with pytest.raises(ConfigError, match=f"flow {row[0]} is listed twice"):
+            ServiceSession.restore(bad)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"pick": 0.5, "factor": -1.0},
+            {"pick": 0.5, "factor": float("nan")},
+            {"pick": -0.5, "factor": 0.5},
+        ],
+    )
+    def test_hostile_fed_entry(self, stepped, fields):
+        """A fed capacity jitter with a bad factor or pick restores, but
+        never reaches the plane: applying it raises a ConfigError."""
+        bad = copy.deepcopy(stepped)
+        bad["session"]["fed"] = [[0.0, "capacity_jitter", fields]]
+        session = ServiceSession.restore(bad)
+        field = "factor" if fields["factor"] != 0.5 else "pick"
+        with pytest.raises(ConfigError, match=field):
+            session.drain(3)
+        cap_factor = session.engine.plane.cap_factor
+        assert np.isfinite(cap_factor).all() and cap_factor.min() >= 0.0
+
+    @pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf")])
+    def test_hostile_cap_factor_column(self, stepped, value):
+        bad = copy.deepcopy(stepped)
+        bad["engine"]["cap_factor"][0] = value
+        with pytest.raises(ConfigError, match="factor"):
             ServiceSession.restore(bad)
 
     @given(st.data())

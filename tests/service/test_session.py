@@ -1,12 +1,16 @@
 """ServiceSession behavior: the event loop, bounded memory, the envelope."""
 
 import json
+import math
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigError
 from repro.service import (
+    CapacityJitter,
     FlowArrival,
+    LinkFlap,
     ServiceConfig,
     ServiceSession,
 )
@@ -94,6 +98,48 @@ class TestFeed:
         s = ServiceSession(CFG, topology=TOPO)
         with pytest.raises(ConfigError):
             s.feed(FlowArrival(src=1, dst=2, lifetime=1), dt=-0.5)
+
+
+class TestHostileFedEvents:
+    """A fed capacity factor must be finite and >= 0, and a fed pick a
+    number in [0, 1]; anything else is a ConfigError naming the field,
+    raised before the plane changes."""
+
+    @pytest.mark.parametrize("factor", [-1.0, math.nan, math.inf])
+    def test_capacity_factor(self, factor):
+        s = ServiceSession(CFG, topology=TOPO)
+        s.drain(5)
+        plane = s.engine.plane
+        links_before = dict(plane.links)
+        s.feed(CapacityJitter(pick=0.5, factor=factor))
+        with pytest.raises(ConfigError, match="factor"):
+            s.step()
+        assert plane.links == links_before
+        assert np.isfinite(plane.cap_factor).all() and plane.cap_factor.min() >= 0.0
+
+    @pytest.mark.parametrize("pick", [-0.5, -3.0, 1.5, math.nan, math.inf])
+    @pytest.mark.parametrize("kind", ["jitter", "flap"])
+    def test_pick(self, kind, pick):
+        s = ServiceSession(CFG, topology=TOPO)
+        if kind == "jitter":
+            event = CapacityJitter(pick=pick, factor=0.5)
+        else:
+            event = LinkFlap(pick=pick, recover_draw=0.9, max_failed=4)
+        s.feed(event)
+        with pytest.raises(ConfigError, match="pick"):
+            s.step()
+        assert s.engine.failed_links == ()
+        assert (s.engine.plane.cap_factor == 1.0).all()
+
+    @pytest.mark.parametrize("pick", [0.0, 1.0])
+    def test_pick_bounds_are_links(self, pick):
+        s = ServiceSession(CFG, topology=TOPO)
+        s.feed(CapacityJitter(pick=pick, factor=0.5))
+        s.step()
+        links = s.engine.graph.links()
+        u, v, _ = links[0] if pick == 0.0 else links[-1]
+        plane = s.engine.plane
+        assert plane.cap_factor[[plane.links[(u, v)], plane.links[(v, u)]]].tolist() == [0.5, 0.5]
 
 
 class TestSnapshot:
