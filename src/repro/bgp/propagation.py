@@ -82,21 +82,37 @@ class RoutingView(Protocol):
     graph: ASGraph
     dest: int
 
-    def has_route(self, x: int) -> bool: ...
+    def has_route(self, x: int) -> bool:
+        """Whether AS ``x`` has any route toward the destination."""
+        ...  # pragma: no cover
 
-    def best_class(self, x: int) -> Relationship | None: ...
+    def best_class(self, x: int) -> Relationship | None:
+        """Class of ``x``'s selected route (None at the destination)."""
+        ...  # pragma: no cover
 
-    def best_len(self, x: int) -> int: ...
+    def best_len(self, x: int) -> int:
+        """AS-hop length of ``x``'s selected route."""
+        ...  # pragma: no cover
 
-    def next_hop(self, x: int) -> int | None: ...
+    def next_hop(self, x: int) -> int | None:
+        """Default next hop of ``x`` (None at the destination)."""
+        ...  # pragma: no cover
 
-    def best_path(self, x: int) -> tuple[int, ...]: ...
+    def best_path(self, x: int) -> tuple[int, ...]:
+        """The selected default AS path from ``x`` to the destination."""
+        ...  # pragma: no cover
 
-    def rib(self, x: int, *, loop_filter: bool = True) -> tuple[RibEntry, ...]: ...
+    def rib(self, x: int, *, loop_filter: bool = True) -> tuple[RibEntry, ...]:
+        """``x``'s Adj-RIB-In toward the destination, in selection order."""
+        ...  # pragma: no cover
 
-    def alternatives(self, x: int) -> tuple[RibEntry, ...]: ...
+    def alternatives(self, x: int) -> tuple[RibEntry, ...]:
+        """The RIB entries of ``x`` other than its selected route."""
+        ...  # pragma: no cover
 
-    def reachable_count(self) -> int: ...
+    def reachable_count(self) -> int:
+        """How many ASes have a route toward the destination."""
+        ...  # pragma: no cover
 
 
 class RoutingSource(Protocol):

@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .errors import ReproError
 from .experiments import REGISTRY, SCALES
 from .telemetry import Stopwatch, Telemetry, TelemetrySnapshot
 from .topology.generator import TopologyConfig, generate_topology
@@ -405,7 +406,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Parse arguments and dispatch; returns the exit code."""
+    """Parse arguments and dispatch; returns the exit code.
+
+    A :class:`~repro.errors.ReproError` or :class:`OSError` out of the
+    command (a bad knob, an unknown scenario, a missing or hostile
+    checkpoint) prints one ``error: <message>`` line on stderr and
+    returns 2, the exit code argparse gives bad arguments.
+    """
     parser = argparse.ArgumentParser(
         prog="mifo-repro",
         description="Reproduction of 'MIFO: Multi-Path Interdomain Forwarding' (ICPP 2015)",
@@ -638,7 +645,11 @@ def main(argv: list[str] | None = None) -> int:
     p_sim.set_defaults(fn=_cmd_simulate)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (ReproError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -67,7 +67,7 @@ class ReservedBitCarrier:
         return packet.tag_bit
 
     def strip(self, packet: Packet) -> None:
-        pass  # the bit travels in the fixed header; nothing to remove
+        """Nothing to remove: the bit travels in the fixed header."""
 
 
 class MplsLabelCarrier:
@@ -115,4 +115,5 @@ class IpOptionCarrier:
         return packet.tag_bit
 
     def strip(self, packet: Packet) -> None:
-        pass  # options are end-to-end; downstream ASes overwrite the bit
+        """Nothing to remove: options are end-to-end, and downstream ASes
+        overwrite the bit."""

@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import collections
 import dataclasses
+import math
 from collections.abc import Sequence
 from typing import TYPE_CHECKING, ClassVar
 
@@ -113,6 +114,10 @@ class ScenarioConfig:
 
     def validate(self) -> None:
         """Reject inconsistent knob combinations."""
+        if not math.isfinite(self.link_capacity_bps):
+            raise ConfigError(
+                f"link_capacity_bps must be finite, got {self.link_capacity_bps!r}"
+            )
         if self.link_capacity_bps <= 0:
             raise SimulationError("link capacity must be positive")
         if not 0.0 < self.clear_threshold <= self.congest_threshold <= 1.0:

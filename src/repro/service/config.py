@@ -15,6 +15,7 @@ bounded-memory and cadence settings.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 from ..errors import ConfigError
 from ..scenario.engine import ScenarioConfig
@@ -90,6 +91,9 @@ class ServiceConfig:
     def validate(self) -> None:
         """Reject inconsistent knob combinations."""
         self.scenario_config().validate()
+        for name in ("arrival_rate", "mean_lifetime_events", "zipf_alpha"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.arrival_rate <= 0:
             raise ConfigError("arrival_rate must be positive")
         if self.mean_lifetime_events < 1.0:

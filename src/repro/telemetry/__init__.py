@@ -22,8 +22,8 @@ check (no string formatting, no dict allocation) —
 array-backend routing hot path stays below 2%.
 
 All wall-clock reads in ``src/repro`` must go through this package
-(:class:`Stopwatch` / the span API) so the ``MF004`` lint rule stays
-sound.
+(:class:`Stopwatch` / the span API); ``tests/test_determinism_guard.py``
+makes every other clock read raise during a full CLI run.
 """
 
 from .core import (

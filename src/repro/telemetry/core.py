@@ -13,8 +13,9 @@ Design constraints:
   experiment run reports its own share of a shared registry
   (:class:`TelemetrySession`).
 * **Only this module touches the clock.**  ``time.perf_counter`` lives
-  here; everywhere else in ``src/repro`` the ``MF004`` lint rule forbids
-  direct timer calls so every measured interval is a span.
+  here; everywhere else in ``src/repro`` a direct timer call raises
+  under ``tests/test_determinism_guard.py``, so every measured interval
+  is a span.
 """
 
 from __future__ import annotations
@@ -60,10 +61,11 @@ DEFAULT_BOUNDS: tuple[float, ...] = (1.0, 2.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0)
 class Stopwatch:
     """The sanctioned wall-clock for code outside this package.
 
-    ``MF004`` forbids direct ``time.time()`` / ``perf_counter()`` calls in
-    ``src/repro``; ad-hoc elapsed-time needs (CLI progress lines, the
-    verifier's ``elapsed_s`` field) use a ``Stopwatch`` instead so every
-    timing in the codebase is attributable to one clock implementation.
+    Direct ``time.time()`` / ``perf_counter()`` calls are not allowed in
+    the rest of ``src/repro``; ad-hoc elapsed-time needs (CLI progress
+    lines, the verifier's ``elapsed_s`` field) use a ``Stopwatch`` instead
+    so every timing in the codebase is attributable to one clock
+    implementation.
     """
 
     __slots__ = ("_t0",)

@@ -24,9 +24,18 @@ from .relationships import Relationship
 
 __all__ = ["load_caida", "loads_caida", "save_caida", "dumps_caida"]
 
+#: the largest AS number (ASNs are 32-bit unsigned, RFC 6793).
+_MAX_ASN = 2**32 - 1
+
 
 def loads_caida(text: str, *, freeze: bool = True) -> ASGraph:
-    """Parse a CAIDA serial-1 relationship document from a string."""
+    """Parse a CAIDA serial-1 relationship document from a string.
+
+    An AS number is plain decimal digits in ``0..4294967295`` and the
+    relationship is exactly ``-1`` or ``0``; anything else (a sign on an
+    AS number, ``1_0``, a space inside a field, a 33-bit number) raises
+    :class:`TopologyError` naming the line.
+    """
     g = ASGraph()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -36,16 +45,23 @@ def loads_caida(text: str, *, freeze: bool = True) -> ASGraph:
         if len(parts) < 3:
             raise TopologyError(f"line {lineno}: expected 'as1|as2|rel', got {raw!r}")
         try:
-            a, b, rel = int(parts[0]), int(parts[1]), int(parts[2])
+            a, b = int(parts[0]), int(parts[1])
         except ValueError as exc:
             raise TopologyError(f"line {lineno}: non-integer field in {raw!r}") from exc
-        if rel == -1:
+        for field in parts[:2]:
+            if not (field.isascii() and field.isdigit() and int(field) <= _MAX_ASN):
+                raise TopologyError(
+                    f"line {lineno}: AS number {field!r} is not a plain "
+                    f"decimal in 0..{_MAX_ASN}"
+                )
+        rel = parts[2]
+        if rel == "-1":
             g.add_p2c(a, b)
-        elif rel == 0:
+        elif rel == "0":
             g.add_peering(a, b)
         else:
             raise TopologyError(
-                f"line {lineno}: unknown relationship code {rel} (want -1 or 0)"
+                f"line {lineno}: unknown relationship code {rel!r} (want -1 or 0)"
             )
     if freeze:
         g.freeze()

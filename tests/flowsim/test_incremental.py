@@ -603,7 +603,7 @@ class TestCrosscheck:
     def test_perturbed_rate_is_refuted(self):
         solver = self._solved()
         col = solver._flow_col[1]
-        solver._rates[col] = np.nextafter(solver._rates[col], np.inf)  # mifolint: disable=MF003 — planted corruption crosscheck() must refute
+        solver._rates[col] = np.nextafter(solver._rates[col], np.inf)  # private-store: planted corruption crosscheck() must refute
         with pytest.raises(SimulationError, match="flow 1 rate"):
             solver.crosscheck()
 

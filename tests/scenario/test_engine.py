@@ -81,7 +81,7 @@ class TestRun:
         # one flow's bandwidth too many on that path's links.
         solver = engine.solver
         fid = next(f.flow_id for f in engine._flows.values() if f.link_ids)
-        solver._mult[solver._flow_col[fid]] += 1.0  # mifolint: disable=MF003 (deliberate)
+        solver._mult[solver._flow_col[fid]] += 1.0  # private-store: deliberate
         with pytest.raises(SimulationError, match="crosscheck failed"):
             engine.step(1.0, TrafficRamp(frac=0.1))
 

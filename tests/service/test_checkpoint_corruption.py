@@ -230,6 +230,17 @@ class TestHostileDocument:
         with pytest.raises(ConfigError, match="factor"):
             ServiceSession.restore(bad)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "field",
+        ["arrival_rate", "mean_lifetime_events", "zipf_alpha", "link_capacity_bps"],
+    )
+    def test_non_finite_config_value(self, stepped, field, value):
+        bad = copy.deepcopy(stepped)
+        bad["config"][field] = value
+        with pytest.raises(ConfigError, match=field):
+            ServiceSession.restore(bad)
+
     @given(st.data())
     @settings(max_examples=80, deadline=None)
     def test_any_single_mutation(self, stepped, data):

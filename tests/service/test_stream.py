@@ -1,10 +1,8 @@
 """The deterministic event stream: purity, tables, and the tick wrapper."""
 
-import contextlib
 import pickle
 import random
 import time
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,32 +26,16 @@ from repro.telemetry import core as telemetry_core
 from repro.topology.generator import TopologyConfig, generate_topology
 from repro.traffic.matrix import content_provider_ranking, zipf_weights
 
-_CLOCKS = (
-    "time",
-    "time_ns",
-    "perf_counter",
-    "perf_counter_ns",
-    "monotonic",
-    "monotonic_ns",
-    "process_time",
-    "process_time_ns",
-)
+from .. import traps
+
 _EMITTERS = ("inc", "set_gauge", "observe", "span", "event")
 
 
-def _ambient_sources():
-    """``(owner, attribute, label)`` of everything ``event_at`` must not
-    reach: the clocks, every global sampler of ``random`` and of numpy's
-    legacy ``RandomState``, telemetry emission, and the session's batch
-    and flush machinery (which reads session state)."""
-    sources = [(time, name, f"time.{name}") for name in _CLOCKS]
-    for name in random.__all__:
-        member = getattr(random, name)
-        if callable(member) and not isinstance(member, type):
-            sources.append((random, name, f"random.{name}"))
-    for name in np.random.mtrand.__all__:
-        if not isinstance(getattr(np.random, name), type):
-            sources.append((np.random, name, f"numpy.random.{name}"))
+def _stream_sources():
+    """``(owner, attribute, label)`` that ``event_at`` must not reach
+    beyond the clocks and random sources: telemetry emission, and the
+    session's batch and flush machinery (which reads session state)."""
+    sources = []
     for owner in (telemetry, telemetry_core, telemetry.Telemetry):
         sources += [(owner, name, f"telemetry {name}") for name in _EMITTERS]
     sources += [
@@ -65,20 +47,10 @@ def _ambient_sources():
     return sources
 
 
-def _trap(label):
-    def reached(*_args, **_kwargs):
-        raise AssertionError(f"event_at reached {label}")
-
-    return reached
-
-
-@contextlib.contextmanager
 def ambient_state_forbidden():
-    """Every source :func:`_ambient_sources` lists raises while open."""
-    with contextlib.ExitStack() as stack:
-        for owner, name, label in _ambient_sources():
-            stack.enter_context(mock.patch.object(owner, name, _trap(label)))
-        yield
+    """Every ambient source of :mod:`tests.traps`, and every source
+    :func:`_stream_sources` lists, raises while open."""
+    return traps.ambient_state_forbidden(*_stream_sources())
 
 
 def _state(stream):
@@ -150,6 +122,8 @@ class TestPurity:
             lambda: telemetry.Telemetry().event("x"),
             lambda: stream_module.merge_effects([]),
             lambda: BatchTick(ticks=()).apply(None),
+            lambda: random.Random(),
+            lambda: np.random.default_rng(),
         ],
     )
     def test_every_trap_is_armed(self, call):

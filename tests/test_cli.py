@@ -245,3 +245,25 @@ class TestServeCommand:
         )
         snapshot = json.loads(capsys.readouterr().out)
         assert snapshot["events"] == 70
+
+
+class TestCleanErrors:
+    """A library error or a file error is one stderr line and exit 2."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["serve", "--batch-max", "0"], "batch_max must be >= 1"),
+            (["serve", "--arrival-rate", "nan"], "arrival_rate must be finite"),
+            (["scenario", "run", "nosuch"], "unknown scenario 'nosuch'"),
+            (["serve", "--restore-from", "{tmp}/missing.json"], "No such file"),
+            (["serve", "--restore-from", "{tmp}/hostile.json"], "is not JSON"),
+            (["serve", "--restore-from", "{tmp}"], "Is a directory"),
+        ],
+    )
+    def test_one_line_and_exit_2(self, argv, message, tmp_path, capsys):
+        (tmp_path / "hostile.json").write_text("{]")
+        assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1 and "Traceback" not in err

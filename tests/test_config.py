@@ -110,6 +110,21 @@ class TestStrictness:
             config_from_dict(ServiceConfig, {"p_link_event": 0.9,
                                              "p_capacity_event": 0.9})
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "cls, field",
+        [
+            (ServiceConfig, "arrival_rate"),
+            (ServiceConfig, "mean_lifetime_events"),
+            (ServiceConfig, "zipf_alpha"),
+            (ServiceConfig, "link_capacity_bps"),
+            (ScenarioConfig, "link_capacity_bps"),
+        ],
+    )
+    def test_non_finite_value_rejected(self, cls, field, value):
+        with pytest.raises(ConfigError, match=field):
+            cls(**{field: value}).validate()
+
     def test_missing_keys_keep_defaults(self):
         cfg = config_from_dict(ServiceConfig, {"seed": 99})
         assert cfg.seed == 99
