@@ -22,7 +22,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import ReproError
+from .errors import ReproError, VerificationError
 from .experiments import REGISTRY, SCALES
 from .telemetry import Stopwatch, Telemetry, TelemetrySnapshot
 from .topology.generator import TopologyConfig, generate_topology
@@ -117,7 +117,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         n = trace.write_jsonl(telem.trace_events(), args.trace_out)
         print(f"wrote {n} trace event(s) to {args.trace_out}", file=sys.stderr)
     if args.verify:
-        from .errors import VerificationError
         from .experiments.common import SharedContext
 
         # The run above went through the memoized per-scale context, so
@@ -411,7 +410,10 @@ def main(argv: list[str] | None = None) -> int:
     A :class:`~repro.errors.ReproError` or :class:`OSError` out of the
     command (a bad knob, an unknown scenario, a missing or hostile
     checkpoint) prints one ``error: <message>`` line on stderr and
-    returns 2, the exit code argparse gives bad arguments.
+    returns 2, the exit code argparse gives bad arguments.  A refuted
+    invariant (:class:`~repro.errors.VerificationError`, from ``scenario
+    run``'s per-event certification or ``serve``'s ``verify_every``)
+    returns 1, as ``run --verify``'s post-run gate does.
     """
     parser = argparse.ArgumentParser(
         prog="mifo-repro",
@@ -647,6 +649,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
+    except VerificationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (ReproError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,7 +1,7 @@
 """Fluid AS-level flow simulator (system S5 in DESIGN.md) — the NS-3
 substitute behind Figures 5, 6, 8 and 9."""
 
-from .flow import ActiveFlow, FlowRecord, FlowSpec
+from .flow import Flow, FlowRecord, FlowSpec
 from .incremental import IncrementalMaxMin
 from .maxmin import build_incidence, maxmin_rates
 from .plane import FlowPlane
@@ -17,7 +17,7 @@ from .simulator import FluidSimConfig, FluidSimResult, FluidSimulator
 __all__ = [
     "FlowSpec",
     "FlowRecord",
-    "ActiveFlow",
+    "Flow",
     "build_incidence",
     "maxmin_rates",
     "IncrementalMaxMin",

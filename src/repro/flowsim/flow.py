@@ -1,10 +1,11 @@
-"""Flow objects for the fluid simulator."""
+"""Flow objects: the workload, the live flow and the finished record."""
 
 from __future__ import annotations
 
 import dataclasses
+from typing import ClassVar
 
-__all__ = ["FlowSpec", "FlowRecord", "ActiveFlow"]
+__all__ = ["Flow", "FlowSpec", "FlowRecord"]
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -50,63 +51,29 @@ class FlowRecord:
         return self.size_bytes * 8.0 / self.duration
 
 
-class ActiveFlow:
-    """Mutable in-flight state of one flow."""
+class Flow:
+    """One flow on the plane: its endpoints, its path and its rate.
 
-    __slots__ = (
-        "spec",
-        "path",
-        "link_ids",
-        "on_alt",
-        "switches",
-        "used_alternative",
-        "remaining",
-        "rate",
-        "initial_path_len",
-        "last_switch_time",
-    )
+    The one mutable flow both simulators keep.  ``path`` is ``None`` while
+    the flow has no route; ``link_ids`` are the plane's indices of its
+    hops; ``on_alt`` is whether the path took a MIFO alternative;
+    ``switches`` counts path changes after the first placement (the
+    Fig. 9 metric).  A simulator's own per-flow state (the fluid
+    simulator's bits left, for one) stays in that simulator.
+    """
 
-    def __init__(
-        self, spec: FlowSpec, path: tuple[int, ...], link_ids: list[int], on_alt: bool
-    ) -> None:
-        self.spec = spec
-        self.path = path
-        self.link_ids = link_ids
-        self.on_alt = on_alt
+    __slots__ = ("flow_id", "src", "dst", "path", "link_ids", "on_alt", "switches", "rate_bps")
+
+    DERIVABLE: ClassVar[dict[str, str]] = {
+        "link_ids": "re-interned from the captured path by restore",
+    }
+
+    def __init__(self, flow_id: int, src: int, dst: int) -> None:
+        self.flow_id = flow_id
+        self.src = src
+        self.dst = dst
+        self.path: tuple[int, ...] | None = None
+        self.link_ids: list[int] = []
+        self.on_alt = False
         self.switches = 0
-        self.used_alternative = on_alt
-        self.remaining = float(spec.size_bytes)
-        self.rate = 0.0  #: bytes/s, assigned by the allocator
-        self.initial_path_len = len(path)
-        self.last_switch_time = spec.start_time
-
-    def switch_to(
-        self,
-        path: tuple[int, ...],
-        link_ids: list[int],
-        on_alt: bool,
-        now: float = 0.0,
-    ) -> None:
-        """Move the flow to a new path (a Fig-9 "path switch")."""
-        self.path = path
-        self.link_ids = link_ids
-        self.on_alt = on_alt
-        self.switches += 1
-        self.last_switch_time = now
-        if on_alt:
-            self.used_alternative = True
-
-    def finalize(self, finish_time: float) -> FlowRecord:
-        """Freeze this flow into its immutable FlowRecord."""
-        return FlowRecord(
-            flow_id=self.spec.flow_id,
-            src=self.spec.src,
-            dst=self.spec.dst,
-            size_bytes=self.spec.size_bytes,
-            start_time=self.spec.start_time,
-            finish_time=finish_time,
-            path_switches=self.switches,
-            used_alternative=self.used_alternative,
-            initial_path_len=self.initial_path_len,
-            final_path_len=len(self.path),
-        )
+        self.rate_bps = 0.0  #: assigned by the max-min fill

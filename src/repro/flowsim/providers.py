@@ -22,7 +22,7 @@ from ..bgp.propagation import RoutingCache
 from ..mifo.deflection import MifoPathBuilder
 from ..miro.negotiation import MiroRouting
 from ..topology.asgraph import ASGraph
-from .flow import ActiveFlow, FlowSpec
+from .flow import Flow, FlowSpec
 
 __all__ = ["LinkView", "PathProvider", "BgpProvider", "MiroProvider", "MifoProvider"]
 
@@ -37,7 +37,8 @@ class LinkView:
     ``congested``/``spare`` are the *live* data-plane truth — but note any
     scheme only ever queries them for links local to the deciding AS (the
     first argument of the callable is the link's owner).  The ``stale_*``
-    pair is the control-plane snapshot, refreshed every
+    pair reads the control-plane snapshot
+    (:meth:`~repro.flowsim.plane.FlowPlane.snapshot`), re-taken every
     ``FluidSimConfig.control_plane_interval`` virtual seconds: the only
     remote knowledge a control-plane scheme like MIRO can have.  The
     live/stale split *is* the paper's control/data-plane decoupling
@@ -65,7 +66,7 @@ class PathProvider:
         raise NotImplementedError
 
     def reroute(
-        self, flow: ActiveFlow, view: LinkView
+        self, flow: Flow, view: LinkView
     ) -> tuple[tuple[int, ...], bool] | None:
         """Called after congestion transitions; None keeps the current path."""
         return None
@@ -150,13 +151,12 @@ class MifoProvider(PathProvider):
         return outcome.path, outcome.used_alternative
 
     def reroute(
-        self, flow: ActiveFlow, view: LinkView
+        self, flow: Flow, view: LinkView
     ) -> tuple[tuple[int, ...], bool] | None:
         """Deflect or resume after a congestion transition."""
-        spec = flow.spec
         congested, spare = view.congested, view.spare
         if flow.on_alt:
-            default = self.routing(spec.dst).best_path(spec.src)
+            default = self.routing(flow.dst).best_path(flow.src)
             if any(
                 congested(default[i], default[i + 1])
                 for i in range(len(default) - 1)
@@ -165,14 +165,14 @@ class MifoProvider(PathProvider):
             return default, False  # resume (a switch back)
         # On the default path: deflect only if some capable AS on the path
         # currently faces a congested egress (the packet-level trigger).
-        path = flow.path
+        path = flow.path or ()
         trigger = any(
             path[i] in self.capable and congested(path[i], path[i + 1])
             for i in range(len(path) - 1)
         )
         if not trigger:
             return None
-        outcome = self.builder.build_path(spec.src, spec.dst, congested, spare)
+        outcome = self.builder.build_path(flow.src, flow.dst, congested, spare)
         if outcome.path == path:
             return None  # no valid alternative was available
         return outcome.path, outcome.used_alternative

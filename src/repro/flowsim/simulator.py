@@ -14,10 +14,14 @@ allocation reaches ``congest_threshold`` of capacity and *clears* only when
 the allocation falls below ``clear_threshold``.  The gap is what keeps flows
 from flapping (paper Fig. 9: most flows switch paths at most twice).
 
-After every event that flips some link's congestion state, the provider
-(MIFO only) is offered reroutes; moved flows immediately update the
-allocation estimate so later decisions in the same pass see the shifting
-load (routers react packet-by-packet, not in synchronized rounds).
+After every event that flips some link's congestion state, the plane's
+reroute pass (:meth:`~repro.flowsim.plane.FlowPlane.reroute`, the one the
+scenario engine runs too) offers the provider (MIFO only) the flows the
+flip can affect; moved flows immediately update the allocation estimate
+so later decisions in the same pass see the shifting load (routers react
+packet-by-packet, not in synchronized rounds).  The simulator keeps only
+what is its own: each flow's bits left, its spec, whether it ever took an
+alternative, and the stale control-plane snapshot MIRO reads.
 """
 
 from __future__ import annotations
@@ -25,21 +29,22 @@ from __future__ import annotations
 import bisect
 import dataclasses
 import math
+import sys
 
 import numpy as np
 
 from .. import telemetry as tm
-from ..errors import NoRouteError, SimulationError
+from ..errors import ConfigError, NoRouteError, SimulationError
 from ..topology.asgraph import ASGraph
-from .flow import ActiveFlow, FlowRecord, FlowSpec
+from .flow import Flow, FlowRecord, FlowSpec
 from .maxmin import build_incidence, maxmin_rates
-from .plane import FlowPlane
+from .plane import FlowPlane, check_plane_settings
 from .providers import LinkView, PathProvider
 
 __all__ = ["FluidSimConfig", "FluidSimResult", "FluidSimulator"]
 
-#: a flow with at most this many bytes left completes.
-_COMPLETION_TOL_BYTES = 1.0
+#: a flow with at most this many bits (one byte) left completes.
+_COMPLETION_TOL_BITS = 8.0
 #: the ``solver_stats`` trace fields, in event order.
 _SOLVER_STATS = ("maxmin_iterations", "pool_hits", "cols_reused", "warm_rounds_saved")
 
@@ -78,12 +83,13 @@ class FluidSimConfig:
 
     def validate(self) -> None:
         """Reject inconsistent configuration values."""
-        if self.link_capacity_bps <= 0:
-            raise SimulationError("link capacity must be positive")
-        if not 0.0 < self.clear_threshold <= self.congest_threshold <= 1.0:
-            raise SimulationError(
-                "need 0 < clear_threshold <= congest_threshold <= 1"
-            )
+        check_plane_settings(
+            self.link_capacity_bps, self.congest_threshold, self.clear_threshold
+        )
+        for name in ("min_switch_interval", "control_plane_interval"):
+            value = getattr(self, name)
+            if not 0.0 <= value <= sys.float_info.max:  # NaN fails too
+                raise ConfigError(f"{name} must be >= 0 and finite, got {value!r}")
         if self.solver not in ("incremental", "full"):
             raise SimulationError(
                 f"solver {self.solver!r} not in ('incremental', 'full')"
@@ -137,38 +143,16 @@ class FluidSimulator:
         self.config = config or FluidSimConfig()
         cfg = self.config
         cfg.validate()
+        #: with ``pooled`` the plane's solver fills; else the cold
+        #: ``maxmin_rates`` reference runs every event.
         self.plane = FlowPlane(
-            cfg.link_capacity_bps, cfg.congest_threshold, cfg.clear_threshold, group_rtol=1e-3
+            cfg.link_capacity_bps, cfg.congest_threshold, cfg.clear_threshold,
+            group_rtol=1e-3, pooled=cfg.solver == "incremental",
         )
-        #: whether fills go through the plane's pooled solver (else the
-        #: cold ``maxmin_rates`` reference runs every event).
-        self._pooled = cfg.solver == "incremental"
         self._cap_len = -1  # links covered by the solver's capacity vector
-        # Stale control-plane snapshot (see control_plane_interval).
-        self._stale_congested = np.zeros(0, dtype=bool)
-        self._stale_alloc = np.zeros(0)
-        self._next_cp_refresh = 0.0
-
-    # ------------------------------------------------------------------
-    # the stale control-plane view handed to providers
-    # ------------------------------------------------------------------
-    def _stale_congested_fn(self, u: int, v: int) -> bool:
-        idx = self.plane.links.get((u, v))
-        if idx is None or idx >= self._stale_congested.shape[0]:
-            return False
-        return bool(self._stale_congested[idx])
-
-    def _stale_spare_fn(self, u: int, v: int) -> float:
-        idx = self.plane.links.get((u, v))
-        if idx is None or idx >= self._stale_alloc.shape[0]:
-            return self.config.link_capacity_bps
-        return max(0.0, self.config.link_capacity_bps - float(self._stale_alloc[idx]))
-
-    def _maybe_refresh_control_plane(self, now: float) -> None:
-        if now >= self._next_cp_refresh:
-            self._stale_congested = self.plane.congested.copy()
-            self._stale_alloc = self.plane.alloc.copy()
-            self._next_cp_refresh = now + self.config.control_plane_interval
+        #: the stale control-plane view (see control_plane_interval), a
+        #: snapshot of the plane re-taken once per interval of a run.
+        self.control_plane = self.plane.snapshot()
 
     # ------------------------------------------------------------------
     # main loop
@@ -177,15 +161,16 @@ class FluidSimulator:
         """Simulate ``specs`` to completion and collect records."""
         cfg = self.config
         plane = self.plane
-        pool = plane.solver if self._pooled else None
+        pool = plane.solver if plane.pooled else None
+        provider = self.provider
         order = sorted(specs, key=lambda s: (s.start_time, s.flow_id))
-        view = LinkView(
-            congested=plane.is_congested,
-            spare=plane.spare,
-            stale_congested=self._stale_congested_fn,
-            stale_spare=self._stale_spare_fn,
-        )
-        active: list[ActiveFlow] = []
+        next_refresh = -math.inf
+        #: in flow-id order, and each flow's bits left beside it.
+        active: list[Flow] = []
+        bits: list[float] = []
+        #: per flow id: its spec and the hop count of its first path.
+        started: dict[int, tuple[FlowSpec, int]] = {}
+        used_alt: set[int] = set()  # ever carried on an alternative
         records: list[FlowRecord] = []
         unroutable = 0
         i = 0
@@ -199,14 +184,6 @@ class FluidSimulator:
             else 0
         )
         pool_before = pool.stats() if pool is not None else None
-
-        def next_completion() -> float:
-            best = math.inf
-            for f in active:
-                if f.rate > 0.0:
-                    best = min(best, f.remaining / f.rate)
-            return best
-
         solve_span = tm.span("flowsim.solve")
         solve_span.__enter__()
         try:
@@ -217,7 +194,11 @@ class FluidSimulator:
                         f"fluid sim exceeded {cfg.max_events} events"
                     )
                 t_arr = order[i].start_time if i < len(order) else math.inf
-                dt_fin = next_completion()
+                dt_fin = math.inf
+                for f, left in zip(active, bits):
+                    rate = f.rate_bps
+                    if rate > 0.0:
+                        dt_fin = min(dt_fin, left / rate)
                 t_fin = now + dt_fin if math.isfinite(dt_fin) else math.inf
                 t_next = min(t_arr, t_fin)
                 if not math.isfinite(t_next):
@@ -228,48 +209,71 @@ class FluidSimulator:
                 # Advance all flows to t_next.
                 dt = t_next - now
                 if dt > 0:
-                    for f in active:
-                        f.remaining -= f.rate * dt
+                    bits = [left - f.rate_bps * dt for f, left in zip(active, bits)]
                 now = t_next
 
-                # Completions (``active`` stays flow-id ordered: filtering
-                # preserves order).
-                still = []
-                for f in active:
-                    if f.remaining <= _COMPLETION_TOL_BYTES:
-                        records.append(f.finalize(now))
-                        if pool is not None:
-                            pool.remove_flow(f.spec.flow_id)
-                    else:
-                        still.append(f)
-                active = still
+                # Completions (filtering keeps ``active`` in flow-id order).
+                if bits and min(bits) <= _COMPLETION_TOL_BITS:
+                    for f, left in zip(active, bits):
+                        if left > _COMPLETION_TOL_BITS:
+                            continue
+                        spec, first_len = started.pop(f.flow_id)
+                        records.append(
+                            FlowRecord(
+                                f.flow_id, f.src, f.dst, spec.size_bytes, spec.start_time,
+                                finish_time=now,
+                                path_switches=f.switches,
+                                used_alternative=f.flow_id in used_alt,
+                                initial_path_len=first_len,
+                                final_path_len=len(f.path or ()),
+                            )
+                        )
+                        del plane.switched_at[f.flow_id]
+                        plane.place(f, None, False)
+                    active = [f for f in active if f.path is not None]
+                    bits = [left for left in bits if left > _COMPLETION_TOL_BITS]
 
-                # Refresh the control-plane snapshot if its interval elapsed.
-                self._maybe_refresh_control_plane(now)
+                if now >= next_refresh:
+                    self.control_plane = stale = plane.snapshot()
+                    view = LinkView(plane.is_congested, plane.spare, stale.is_congested, stale.spare)
+                    next_refresh = now + cfg.control_plane_interval
 
                 # Arrivals due now.
                 while i < len(order) and order[i].start_time <= now + 1e-12:
                     spec = order[i]
                     i += 1
                     try:
-                        path, on_alt = self.provider.initial_path(spec, view)
+                        path, on_alt = provider.initial_path(spec, view)
                     except NoRouteError:
                         if cfg.skip_unroutable:
                             unroutable += 1
                             continue
                         raise
-                    flow = ActiveFlow(spec, path, plane.intern_path(path), on_alt)
-                    # Keep ``active`` ordered by flow id at insertion so
-                    # the reroute pass never re-sorts it.
-                    bisect.insort(active, flow, key=lambda f: f.spec.flow_id)
-                    if pool is not None:
-                        pool.add_flow(spec.flow_id, flow.link_ids)
+                    flow = Flow(spec.flow_id, spec.src, spec.dst)
+                    plane.place(flow, path, on_alt)
+                    at = bisect.bisect_right(active, spec.flow_id, key=lambda f: f.flow_id)
+                    active.insert(at, flow)
+                    bits.insert(at, float(spec.size_bytes) * 8.0)
+                    started[spec.flow_id] = (spec, len(path))
+                    plane.switched_at[spec.flow_id] = spec.start_time
+                    if on_alt:
+                        used_alt.add(spec.flow_id)
 
                 # Re-solve rates, update congestion, offer reroutes on flips.
                 newly_congested, any_cleared = self._reallocate(active)
                 reallocs += 1
-                if (newly_congested or any_cleared) and self.provider.supports_reroute and active:
-                    if self._offer_reroutes(active, now, view, newly_congested, any_cleared):
+                if provider.supports_reroute:
+                    moved = plane.reroute(
+                        active,
+                        newly_congested,
+                        any_cleared,
+                        lambda f: provider.reroute(f, view),
+                        cooldown=cfg.min_switch_interval,
+                        now=now,
+                        time_s=now,
+                    )
+                    if moved:
+                        used_alt.update(f.flow_id for f in moved if f.on_alt)
                         self._reallocate(active)
                         reallocs += 1
         finally:
@@ -282,23 +286,12 @@ class FluidSimulator:
             t.inc("flowsim.unroutable", unroutable)
             if pool is not None and pool_before is not None:
                 after = pool.stats()
-                t.event(
-                    "solver_stats",
-                    solver="incremental",
-                    **{k: after[k] - pool_before[k] for k in _SOLVER_STATS},
-                )
+                delta = {k: after[k] - pool_before[k] for k in _SOLVER_STATS}
+                t.event("solver_stats", solver="incremental", **delta)
             elif t is t0:
-                t.event(
-                    "solver_stats",
-                    solver="full",
-                    maxmin_iterations=t.counters.get(
-                        "flowsim.maxmin_iterations", 0
-                    )
-                    - iters_before,
-                    pool_hits=0,
-                    cols_reused=0,
-                    warm_rounds_saved=0,
-                )
+                iters = t.counters.get("flowsim.maxmin_iterations", 0) - iters_before
+                zeros = dict.fromkeys(_SOLVER_STATS[1:], 0)
+                t.event("solver_stats", solver="full", maxmin_iterations=iters, **zeros)
         return FluidSimResult(
             scheme=self.provider.name,
             records=records,
@@ -309,7 +302,7 @@ class FluidSimulator:
         )
 
     # ------------------------------------------------------------------
-    def _reallocate(self, active: list[ActiveFlow]) -> tuple[set[int], bool]:
+    def _reallocate(self, active: list[Flow]) -> tuple[set[int], bool]:
         """Max-min re-solve.
 
         Returns ``(newly_congested_link_ids, any_link_cleared)`` so the
@@ -324,7 +317,7 @@ class FluidSimulator:
         n_links = len(plane.links)
         plane.alloc.fill(0.0)
         if active and n_links:
-            if self._pooled:
+            if plane.pooled:
                 pool = plane.solver
                 # Capacities never change here, so the vector is pushed
                 # only when links were interned since the last push.
@@ -333,8 +326,9 @@ class FluidSimulator:
                     self._cap_len = n_links
                 pool.solve()
                 plane.read_load()
+                rate_of = pool.rate_of
                 for f in active:
-                    f.rate = pool.rate_of(f.spec.flow_id) / 8.0
+                    f.rate_bps = rate_of(f.flow_id)
             else:
                 incidence = build_incidence(
                     [f.link_ids for f in active], n_links
@@ -345,66 +339,9 @@ class FluidSimulator:
                     unconstrained_rate=self.config.link_capacity_bps,
                     load_out=plane.alloc[:n_links],
                 )
-                rates_bytes = rates / 8.0
-                for f, r in zip(active, rates_bytes):
-                    f.rate = float(r)
+                for f, r in zip(active, rates.tolist()):
+                    f.rate_bps = r
         else:
             for f in active:
-                f.rate = self.config.link_capacity_bps / 8.0
+                f.rate_bps = self.config.link_capacity_bps
         return plane.update_congestion()
-
-    def _offer_reroutes(
-        self,
-        active: list[ActiveFlow],
-        now: float,
-        view: LinkView,
-        newly_congested: set[int],
-        any_cleared: bool,
-    ) -> bool:
-        """One reroute pass; moved flows shift the allocation estimate so
-        later decisions in the pass see the evolving load.
-
-        A flow is only consulted if the transition can affect it: a flow on
-        its default path reacts to links that just congested *on its own
-        path*; a deflected flow reconsiders only when some link cleared
-        (its resume test re-checks the whole default path anyway).  The
-        per-flow switch cooldown models the router's reaction interval.
-
-        ``active`` is maintained in flow-id order by the main loop, so the
-        deterministic consult order costs no per-pass sort.
-        """
-        interval = self.config.min_switch_interval
-        moved = False
-        for f in active:
-            if now - f.last_switch_time < interval:
-                continue
-            if f.on_alt:
-                if not any_cleared:
-                    continue
-            elif newly_congested.isdisjoint(f.link_ids):
-                continue
-            decision = self.provider.reroute(f, view)
-            if decision is None:
-                continue
-            path, on_alt = decision
-            if path == f.path:
-                continue
-            new_ids = self.plane.intern_path(path)
-            # ``f.rate`` is bytes/s; the allocation estimate is bps.
-            self.plane.shift(f.link_ids, new_ids, f.rate * 8.0)
-            f.switch_to(path, new_ids, on_alt, now)
-            if self._pooled:
-                self.plane.solver.move_flow(f.spec.flow_id, new_ids)
-            t = tm.active()
-            if t is not None:
-                t.event(
-                    "path_switch",
-                    flow=f.spec.flow_id,
-                    src=f.spec.src,
-                    dst=f.spec.dst,
-                    on_alt=on_alt,
-                    cause="congested_link" if on_alt else "resume",
-                    time_s=now,
-                )
-            moved = True
-        return moved

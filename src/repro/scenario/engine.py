@@ -20,11 +20,11 @@ timeline.  Each event runs the same eight-step procedure:
    :class:`~repro.flowsim.plane.FlowPlane` (the plane the fluid simulator
    drives too); an event that moved no path and no capacity is a memo hit
    and skips the fill;
-6. **update congestion** bits with the plane's hysteresis and run one
-   congestion-response pass (deflect flows newly congested, offer resumes
-   when something cleared) — mirroring
-   ``FluidSimulator._offer_reroutes`` so dynamic behavior matches the
-   static experiments';
+6. **update congestion** bits with the plane's hysteresis and run the
+   plane's response pass (:meth:`~repro.flowsim.plane.FlowPlane.reroute`,
+   the one the fluid simulator runs too: deflect flows newly congested,
+   offer resumes when something cleared) with the MIFO walk as its
+   decision;
 7. **re-certify**: the verifier statically re-proves loop-freedom,
    valley-freedom and FIB/RIB consistency over the dirty and
    newly-converged destinations — array-backend views by the block
@@ -51,16 +51,16 @@ from __future__ import annotations
 
 import collections
 import dataclasses
-import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from typing import TYPE_CHECKING, ClassVar
 
 import numpy as np
 
 from .. import telemetry as tm
-from ..errors import ConfigError, NoRouteError, SimulationError, VerificationError
+from ..errors import ConfigError, NoRouteError, VerificationError
+from ..flowsim.flow import Flow
 from ..flowsim.incremental import IncrementalMaxMin
-from ..flowsim.plane import FlowPlane
+from ..flowsim.plane import FlowPlane, check_plane_settings
 from ..measure.changepoint import DetectorConfig
 from ..measure.rtt import PathRttMonitor
 from ..mifo.deflection import MifoPathBuilder
@@ -114,16 +114,9 @@ class ScenarioConfig:
 
     def validate(self) -> None:
         """Reject inconsistent knob combinations."""
-        if not math.isfinite(self.link_capacity_bps):
-            raise ConfigError(
-                f"link_capacity_bps must be finite, got {self.link_capacity_bps!r}"
-            )
-        if self.link_capacity_bps <= 0:
-            raise SimulationError("link capacity must be positive")
-        if not 0.0 < self.clear_threshold <= self.congest_threshold <= 1.0:
-            raise SimulationError(
-                "need 0 < clear_threshold <= congest_threshold <= 1"
-            )
+        check_plane_settings(
+            self.link_capacity_bps, self.congest_threshold, self.clear_threshold
+        )
         if self.mode not in ("incremental", "full"):
             raise ConfigError(
                 f"scenario mode {self.mode!r} not in ('incremental', 'full')"
@@ -198,26 +191,6 @@ class ScenarioRun:
         return max(0, len(self.records) - 1)
 
 
-class _SimFlow:
-    """One persistent demand in the engine's flow population."""
-
-    __slots__ = ("flow_id", "src", "dst", "path", "link_ids", "on_alt", "switches", "rate")
-
-    DERIVABLE: ClassVar[dict[str, str]] = {
-        "link_ids": "re-interned from the captured path by restore",
-    }
-
-    def __init__(self, flow_id: int, src: int, dst: int) -> None:
-        self.flow_id = flow_id
-        self.src = src
-        self.dst = dst
-        self.path: tuple[int, ...] | None = None
-        self.link_ids: list[int] = []
-        self.on_alt = False
-        self.switches = 0
-        self.rate = 0.0
-
-
 class ScenarioEngine:
     """Advances a MIFO simulation through a scenario timeline.
 
@@ -269,11 +242,11 @@ class ScenarioEngine:
             cfg.link_capacity_bps, cfg.congest_threshold, cfg.clear_threshold, group_rtol=0.0
         )
         #: flow id -> flow, insertion order == ascending flow id.
-        self._flows: dict[int, _SimFlow] = {}
+        self._flows: dict[int, Flow] = {}
         for d in demands:
             if d.flow_id in self._flows:
                 raise ConfigError(f"duplicate flow id {d.flow_id} in demands")
-            self._flows[d.flow_id] = _SimFlow(d.flow_id, d.src, d.dst)
+            self._flows[d.flow_id] = Flow(d.flow_id, d.src, d.dst)
         self._base_demand = max(1, len(demands))
         self._next_flow_id = 1 + max((d.flow_id for d in demands), default=-1)
         #: failed links, most recent last: (u, v, relationship of v from u).
@@ -323,12 +296,7 @@ class ScenarioEngine:
         if strategy == "mid-load":
             pairs = list(plane.links)
             util = plane.utilization()
-            used: dict[int, bool] = {}
-            for f in self._flows.values():
-                if f.path is None:
-                    continue
-                for idx in f.link_ids:
-                    used[idx] = True
+            used = {idx for f in self._flows.values() for idx in f.link_ids}
             if not used:
                 return self.pick_link("busiest")
             best = min(used, key=lambda i: (abs(float(util[i]) - 0.5), pairs[i]))
@@ -342,31 +310,26 @@ class ScenarioEngine:
             if not loaded:
                 raise ConfigError("no exogenously loaded link to pick")
             return max(loaded, key=lambda e: (e[0], (-e[1][0], -e[1][1])))[1]
-        if strategy == "edge-peering":
-            links = self.graph.links()
-            if not links:
-                raise ConfigError("graph has no links to pick from")
-            deg = {n: len(self.graph.neighbors(n)) for n in self.graph.nodes()}
-            pool = [
-                (u, v) for u, v, rel in links if rel is Relationship.PEER
-            ] or [(u, v) for u, v, _ in links]
-            return min(pool, key=lambda lk: (deg[lk[0]] + deg[lk[1]], lk))
-        if strategy != "busiest":
+        if strategy == "busiest":
+            counts: dict[tuple[int, int], int] = {}
+            for f in self._flows.values():
+                path = f.path or ()
+                for a, b in zip(path, path[1:]):
+                    key = (a, b) if a <= b else (b, a)
+                    counts[key] = counts.get(key, 0) + 1
+            if counts:
+                return min(counts, key=lambda k: (-counts[k], k))
+        elif strategy != "edge-peering":
             raise ConfigError(f"unknown link pick strategy {strategy!r}")
-        counts: dict[tuple[int, int], int] = {}
-        for f in self._flows.values():
-            if f.path is None:
-                continue
-            for a, b in zip(f.path, f.path[1:]):
-                key = (a, b) if a <= b else (b, a)
-                counts[key] = counts.get(key, 0) + 1
-        if counts:
-            best = min(counts, key=lambda k: (-counts[k], k))
-            return best
         links = self.graph.links()
         if not links:
             raise ConfigError("graph has no links to pick from")
         deg = {n: len(self.graph.neighbors(n)) for n in self.graph.nodes()}
+        if strategy == "edge-peering":
+            pool = [(u, v) for u, v, rel in links if rel is Relationship.PEER] or [
+                (u, v) for u, v, _ in links
+            ]
+            return min(pool, key=lambda lk: (deg[lk[0]] + deg[lk[1]], lk))
         u, v, _ = min(links, key=lambda lk: (-(deg[lk[0]] + deg[lk[1]]), lk[:2]))
         return u, v
 
@@ -461,7 +424,7 @@ class ScenarioEngine:
         for src, dst in pairs:
             fid = self._next_flow_id
             self._next_flow_id += 1
-            self._flows[fid] = _SimFlow(fid, src, dst)
+            self._flows[fid] = Flow(fid, src, dst)
             ids.append(fid)
         return tuple(ids)
 
@@ -511,8 +474,7 @@ class ScenarioEngine:
             f = self._flows.pop(fid, None)
             if f is None:
                 raise ConfigError(f"cannot retire unknown flow {fid}")
-            if f.path is not None:
-                self.solver.remove_flow(fid)
+            self.plane.place(f, None, False)
             if self._rtt is not None:
                 self._rtt.drop_flow(fid)
         return EventEffect(target=f"retired {len(flow_ids)} flows")
@@ -545,7 +507,7 @@ class ScenarioEngine:
     # ------------------------------------------------------------------
     # the per-event procedure
     # ------------------------------------------------------------------
-    def _affected_flows(self, effect: EventEffect) -> list[_SimFlow]:
+    def _affected_flows(self, effect: EventEffect) -> list[Flow]:
         dirty = set(effect.dirty)
         removed = set(effect.removed)
         changed = set(effect.capacity_changed)
@@ -570,40 +532,22 @@ class ScenarioEngine:
                 out.append(f)
         return out
 
-    def _builder(self) -> MifoPathBuilder:
-        return MifoPathBuilder(
-            self.graph,
-            self.routing,
-            self.capable,
-            event_fields={"epoch": self._event_no},
+    def _walker(self) -> Callable[[Flow], tuple[tuple[int, ...] | None, bool]]:
+        """This epoch's routing decision: a flow's MIFO walk under the
+        plane's current signals (a ``None`` path when it has no route)."""
+        builder = MifoPathBuilder(
+            self.graph, self.routing, self.capable, event_fields={"epoch": self._event_no}
         )
+        signals = self.plane.is_congested, self.plane.spare
 
-    def _route_flow(self, f: _SimFlow, builder: MifoPathBuilder) -> bool:
-        """(Re-)walk one flow; returns True if its path changed."""
-        old = f.path
-        try:
-            outcome = builder.build_path(
-                f.src, f.dst, self.plane.is_congested, self.plane.spare
-            )
-        except NoRouteError:
-            f.path = None
-            f.link_ids = []
-            f.on_alt = False
-            f.rate = 0.0
-            self.solver.remove_flow(f.flow_id)
-            return old is not None
-        f.path = outcome.path
-        f.link_ids = self.plane.intern_path(outcome.path)
-        f.on_alt = outcome.used_alternative
-        if old == outcome.path:
-            return False
-        # A flow is in the solver exactly while it holds a path.
-        if old is None:
-            self.solver.add_flow(f.flow_id, f.link_ids)
-        else:
-            self.solver.move_flow(f.flow_id, f.link_ids)
-            f.switches += 1
-        return True
+        def walk(f: Flow) -> tuple[tuple[int, ...] | None, bool]:
+            try:
+                outcome = builder.build_path(f.src, f.dst, *signals)
+            except NoRouteError:
+                return None, False
+            return outcome.path, outcome.used_alternative
+
+        return walk
 
     def _solve(self) -> None:
         plane = self.plane
@@ -621,48 +565,8 @@ class ScenarioEngine:
             solver.solve()  # memo hit: books the rounds not replayed
             tm.inc("flowsim.warm_hits")
         for f in self._flows.values():
-            f.rate = solver.rate_of(f.flow_id) if f.path is not None else 0.0
+            f.rate_bps = solver.rate_of(f.flow_id) if f.path is not None else 0.0
         plane.read_load()
-
-    def _respond(
-        self, builder: MifoPathBuilder, trigger: set[int], any_cleared: bool
-    ) -> int:
-        """One response pass mirroring the fluid simulator's
-        ``_offer_reroutes``: flows on their default path deflect when
-        triggered — under the oracle detector ``trigger`` holds the links
-        that just congested and a flow crossing one reacts, under a
-        measurement-driven detector it holds the flows whose own RTT
-        series alarmed upward; deflected flows reconsider (and possibly
-        resume) when something cleared.  Moved flows shift the allocation
-        estimate immediately."""
-        by_link = self._rtt is None
-        cause = "congested_link" if by_link else "rtt_alarm"
-        moved = 0
-        for f in self._flows.values():  # insertion order == flow-id order
-            if f.path is None:
-                continue
-            if f.on_alt:
-                if not any_cleared:
-                    continue
-            elif by_link:
-                if trigger.isdisjoint(f.link_ids):
-                    continue
-            elif f.flow_id not in trigger:
-                continue
-            old_ids, rate = f.link_ids, f.rate  # an unroutable walk zeroes both
-            if self._route_flow(f, builder):
-                moved += 1
-                self.plane.shift(old_ids, f.link_ids, rate)
-                tm.event(
-                    "path_switch",
-                    flow=f.flow_id,
-                    src=f.src,
-                    dst=f.dst,
-                    on_alt=f.on_alt,
-                    cause=cause if f.on_alt else "resume",
-                    epoch=self._event_no,
-                )
-        return moved
 
     def _observe_rtt(self) -> set[int]:
         """Sample every routed flow's path RTT, push into the per-flow
@@ -773,12 +677,8 @@ class ScenarioEngine:
                 kind = event.kind
             converged_before = frozenset(self.routing.cached_destinations())
 
-            builder = self._builder()
-            affected = self._affected_flows(effect)
-            rerouted = 0
-            for f in affected:
-                if self._route_flow(f, builder):
-                    rerouted += 1
+            walk = self._walker()
+            rerouted = sum(self.plane.place(f, *walk(f)) for f in self._affected_flows(effect))
             self._solve()
             trigger, any_cleared = self.plane.update_congestion()
             if self._rtt is not None:
@@ -788,8 +688,13 @@ class ScenarioEngine:
                 # detector.  One sample per path per epoch — responses do
                 # not re-sample, mirroring a real measurement cadence.
                 trigger = self._observe_rtt()
-            if (trigger or any_cleared) and self._respond(
-                builder, trigger, any_cleared
+            if self.plane.reroute(
+                self._flows.values(),
+                trigger,
+                any_cleared,
+                walk,
+                by_flow=self._rtt is not None,
+                epoch=self._event_no,
             ):
                 self._solve()
                 self.plane.update_congestion()
@@ -813,7 +718,7 @@ class ScenarioEngine:
     ) -> None:
         routed = [f for f in self._flows.values() if f.path is not None]
         unroutable = len(self._flows) - len(routed)
-        total_bps = float(sum(f.rate for f in routed))
+        total_bps = float(sum(f.rate_bps for f in routed))
         record = EventRecord(
             index=self._event_no,
             time_s=when,

@@ -49,8 +49,9 @@ import numpy as np
 
 from .. import telemetry as tm
 from ..errors import ConfigError, ReproError
+from ..flowsim.flow import Flow
 from ..flowsim.plane import check_capacity_factor
-from ..scenario.engine import EventRecord, _SimFlow
+from ..scenario.engine import EventRecord
 from ..scenario.incremental import IncrementalRouting
 from ..telemetry import Telemetry
 from ..topology.dynamics import without_link
@@ -87,7 +88,7 @@ def capture(session: Any) -> dict[str, Any]:
             list(f.path) if f.path is not None else None,
             bool(f.on_alt),
             f.switches,
-            float(f.rate),
+            float(f.rate_bps),
         ]
         for f in eng._flows.values()
     ]
@@ -353,43 +354,40 @@ def _restore_engine(
     plane.congested[:n] = _column(es, "congested", n, bool)
     plane.alloc[:n] = _column(es, "alloc", n, np.float64)
     # 4. The flow population (insertion order == checkpoint order ==
-    # ascending registration order).  A path must be one the live engine
-    # could have routed: from src to dst over links of the replayed graph.
+    # ascending registration order), each routed flow re-added to the
+    # solver as it is placed.  A path must be one the live engine could
+    # have routed: from src to dst over links of the replayed graph.
     eng._flows = {}
     with _field("engine.flows"):
         for fid, src, dst, path, on_alt, switches, rate in es["flows"]:
-            f = _SimFlow(int(fid), int(src), int(dst))
+            f = Flow(int(fid), int(src), int(dst))
             if f.flow_id in eng._flows:
                 raise ConfigError(f"checkpoint flow {f.flow_id} is listed twice")
             if path is not None:
-                f.path = tuple(int(x) for x in path)
-                hops = zip(f.path, f.path[1:])
+                path = tuple(int(x) for x in path)
+                hops = zip(path, path[1:])
                 if (
-                    not f.path
-                    or (f.path[0], f.path[-1]) != (f.src, f.dst)
+                    not path
+                    or (path[0], path[-1]) != (f.src, f.dst)
                     or not all(graph.are_adjacent(a, b) for a, b in hops)
                 ):
                     raise ConfigError(
-                        f"checkpoint flow {f.flow_id}: path {list(f.path)} does not "
+                        f"checkpoint flow {f.flow_id}: path {list(path)} does not "
                         f"run from {f.src} to {f.dst} over links of the topology"
                     )
-                f.link_ids = plane.intern_path(f.path)
-                f.on_alt = bool(on_alt)
+                plane.place(f, path, bool(on_alt))
             f.switches = int(switches)
-            f.rate = float(rate)
+            f.rate_bps = float(rate)
             eng._flows[f.flow_id] = f
     with _field("engine.next_flow_id"):
         eng._next_flow_id = int(es["next_flow_id"])
     with _field("engine.event_no"):
         eng._event_no = int(es["event_no"])
-    # 5. Solver: re-add the flow table, then one priming fill.  Fill
+    # 5. Solver: one priming fill over the re-added flows.  Fill
     # results are independent of column numbering, so the rebuilt pool's
     # rates, memo tick and last-round count land exactly where the
     # uninterrupted solver's were; lifetime counters then restore on top.
     pool = eng.solver
-    for f in eng._flows.values():
-        if f.path is not None:
-            pool.add_flow(f.flow_id, f.link_ids)
     pool.set_capacity(plane.residual())
     pool.solve()
     # Seed the free-list *after* the live flows (so they don't consume

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.bgp.propagation import RoutingCache
-from repro.errors import NoRouteError, SimulationError
+from repro.errors import ConfigError, NoRouteError, SimulationError
 from repro.flowsim.flow import FlowSpec
 from repro.flowsim.providers import BgpProvider, MifoProvider, PathProvider
 from repro.flowsim.simulator import FluidSimConfig, FluidSimulator
@@ -27,12 +27,17 @@ def mifo_sim(graph, capable=None, **cfg):
 
 class TestConfig:
     def test_bad_capacity(self):
-        with pytest.raises(SimulationError):
+        with pytest.raises(ConfigError, match="link_capacity_bps"):
             FluidSimConfig(link_capacity_bps=0).validate()
 
     def test_bad_thresholds(self):
-        with pytest.raises(SimulationError):
+        with pytest.raises(ConfigError, match="clear_threshold"):
             FluidSimConfig(congest_threshold=0.5, clear_threshold=0.9).validate()
+
+    @pytest.mark.parametrize("field", ["min_switch_interval", "control_plane_interval"])
+    def test_negative_interval(self, field):
+        with pytest.raises(ConfigError, match=field):
+            FluidSimConfig(**{field: -5.0}).validate()
 
 
 class TestSingleFlow:
@@ -164,36 +169,39 @@ class TestConservation:
 
 
 class TestControlPlaneStaleness:
+    """MIRO reads remote links through ``sim.control_plane``, a snapshot
+    of the plane re-taken once per ``control_plane_interval``."""
+
+    SPECS = [
+        FlowSpec(flow_id=1, src=1, dst=5, size_bytes=8e6, start_time=0.0),
+        FlowSpec(flow_id=2, src=2, dst=5, size_bytes=8e6, start_time=0.0),
+        FlowSpec(flow_id=3, src=1, dst=5, size_bytes=8e6, start_time=0.05),
+    ]
+
     def test_stale_view_lags_live(self, fig11_graph):
-        """The stale snapshot only updates at the control-plane interval."""
+        """With an interval longer than the run, the snapshot is the one
+        taken at t=0, before any flow crossed 3->4."""
         sim = bgp_sim(fig11_graph, control_plane_interval=100.0)
-        # Two heavy flows congest 3->4; run them.
-        specs = [
-            FlowSpec(flow_id=1, src=1, dst=5, size_bytes=5e6, start_time=0.0),
-            FlowSpec(flow_id=2, src=2, dst=5, size_bytes=5e6, start_time=0.0),
-        ]
-        sim.run(specs)
-        # After the run, the live view saw congestion on (3, 4) at some
-        # point; the stale view was snapshotted only at t=0 (empty).
-        assert not sim._stale_congested_fn(3, 4)
+        sim.run(self.SPECS)
+        assert (3, 4) not in sim.control_plane.links
+        assert not sim.control_plane.is_congested(3, 4)
+        assert sim.control_plane.spare(3, 4) == sim.config.link_capacity_bps
 
     def test_stale_view_refreshes(self, fig11_graph):
+        """With a tiny interval the last snapshot, taken at the last
+        completion before its flow left, saw that flow on 3->4."""
         sim = bgp_sim(fig11_graph, control_plane_interval=0.001)
-        specs = [
-            FlowSpec(flow_id=1, src=1, dst=5, size_bytes=8e6, start_time=0.0),
-            FlowSpec(flow_id=2, src=2, dst=5, size_bytes=8e6, start_time=0.0),
-            FlowSpec(flow_id=3, src=1, dst=5, size_bytes=8e6, start_time=0.05),
-        ]
-        sim.run(specs)
-        # With a tiny interval the snapshot tracked the live view: by the
-        # third arrival the (3,4) link's stale state had been refreshed
-        # at least once while congested.
-        assert sim._stale_alloc.shape[0] > 0
+        sim.run(self.SPECS)
+        assert (3, 4) in sim.control_plane.links
+        assert sim.control_plane.spare(3, 4) == 0.0
+        assert sim.control_plane.is_congested(3, 4)
+        # The live plane moved on: every flow has left.
+        assert sim.plane.spare(3, 4) == sim.config.link_capacity_bps
 
     def test_unknown_links_report_defaults(self, fig11_graph):
         sim = bgp_sim(fig11_graph)
-        assert not sim._stale_congested_fn(1, 3)
-        assert sim._stale_spare_fn(1, 3) == sim.config.link_capacity_bps
+        assert not sim.control_plane.is_congested(1, 3)
+        assert sim.control_plane.spare(1, 3) == sim.config.link_capacity_bps
 
 
 class TestSolverModes:
@@ -300,7 +308,7 @@ class _SpareChooser(PathProvider):
             return None
         via_a = view.spare(1, 4) >= view.spare(1, 5)
         choice = self.VIA_A if via_a else self.VIA_B
-        self.choices[flow.spec.flow_id] = choice
+        self.choices[flow.flow_id] = choice
         return choice, True
 
 

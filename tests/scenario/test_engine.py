@@ -42,11 +42,11 @@ class TestConfig:
             ScenarioConfig(mode="lazy").validate()
 
     def test_bad_thresholds(self):
-        with pytest.raises(SimulationError):
+        with pytest.raises(ConfigError, match="clear_threshold"):
             ScenarioConfig(congest_threshold=0.5, clear_threshold=0.8).validate()
 
     def test_bad_capacity(self):
-        with pytest.raises(SimulationError):
+        with pytest.raises(ConfigError, match="link_capacity_bps"):
             ScenarioConfig(link_capacity_bps=0).validate()
 
 

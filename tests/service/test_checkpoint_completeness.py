@@ -20,11 +20,12 @@ import pytest
 
 from repro.bgp.array_routing import ArrayDestinationRouting
 from repro.bgp.propagation import DestinationRouting
+from repro.flowsim.flow import Flow
 from repro.flowsim.incremental import IncrementalMaxMin
 from repro.flowsim.plane import FlowPlane
 from repro.measure.changepoint import OnlineDetector
 from repro.measure.rtt import PathRttMonitor
-from repro.scenario.engine import ScenarioEngine, _SimFlow
+from repro.scenario.engine import ScenarioEngine
 from repro.scenario.incremental import IncrementalRouting
 from repro.service import ServiceConfig, ServiceSession
 from repro.service.stream import EventStream
@@ -36,7 +37,7 @@ TARGETS = (
     ServiceSession,
     EventStream,
     ScenarioEngine,
-    _SimFlow,
+    Flow,
     FlowPlane,
     IncrementalRouting,
     IncrementalMaxMin,

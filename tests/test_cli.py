@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -248,7 +249,8 @@ class TestServeCommand:
 
 
 class TestCleanErrors:
-    """A library error or a file error is one stderr line and exit 2."""
+    """A library error or a file error is one stderr line and exit 2; a
+    refuted invariant is one stderr line and exit 1."""
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -267,3 +269,19 @@ class TestCleanErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_refuted_invariant_exits_1(self, monkeypatch, capsys):
+        """A refuted invariant is a finding, not bad input: ``scenario
+        run``'s per-event certification exits 1, as ``run --verify``
+        does."""
+        import repro.scenario.engine as engine
+
+        def refuted(*args, **kwargs):
+            return SimpleNamespace(ok=False, findings=())
+
+        monkeypatch.setattr(engine, "verify_routing", refuted)
+        assert main(["scenario", "run", "edge_flap", "--scale", "test"]) == 1
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if line.startswith("error: ")]
+        assert len(errors) == 1 and "refuted" in errors[0]
+        assert "Traceback" not in err

@@ -119,6 +119,11 @@ class TestStrictness:
             (ServiceConfig, "zipf_alpha"),
             (ServiceConfig, "link_capacity_bps"),
             (ScenarioConfig, "link_capacity_bps"),
+            (FluidSimConfig, "link_capacity_bps"),
+            (FluidSimConfig, "congest_threshold"),
+            (FluidSimConfig, "clear_threshold"),
+            (FluidSimConfig, "min_switch_interval"),
+            (FluidSimConfig, "control_plane_interval"),
         ],
     )
     def test_non_finite_value_rejected(self, cls, field, value):
