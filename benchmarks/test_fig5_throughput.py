@@ -10,7 +10,7 @@ from .conftest import write_result
 
 def test_fig5(benchmark, results_dir, bench_scale):
     cells = benchmark.pedantic(
-        lambda: fig5.run(bench_scale, backend="array").raw, rounds=1, iterations=1
+        lambda: fig5.run(bench_scale).raw, rounds=1, iterations=1
     )
     write_result(results_dir, "fig5", cells.render())
 

@@ -11,7 +11,7 @@ from .conftest import write_result
 
 def test_fig6(benchmark, results_dir, bench_scale):
     cells = benchmark.pedantic(
-        lambda: fig6.run(bench_scale, backend="array").raw, rounds=1, iterations=1
+        lambda: fig6.run(bench_scale).raw, rounds=1, iterations=1
     )
     write_result(results_dir, "fig6", cells.render())
 

@@ -12,7 +12,7 @@ from .conftest import write_result
 
 def test_fig7(benchmark, results_dir, bench_scale):
     result = benchmark.pedantic(
-        lambda: fig7.run(bench_scale, backend="array").raw, rounds=1, iterations=1
+        lambda: fig7.run(bench_scale).raw, rounds=1, iterations=1
     )
     write_result(results_dir, "fig7", result.render())
 

@@ -11,7 +11,7 @@ from .conftest import write_result
 
 def test_fig8(benchmark, results_dir, bench_scale):
     cells = benchmark.pedantic(
-        lambda: fig8.run(bench_scale, backend="array").raw, rounds=1, iterations=1
+        lambda: fig8.run(bench_scale).raw, rounds=1, iterations=1
     )
     write_result(results_dir, "fig8", cells.render())
 

@@ -8,7 +8,7 @@ from .conftest import write_result
 
 def test_fig9(benchmark, results_dir, bench_scale):
     cells = benchmark.pedantic(
-        lambda: fig9.run(bench_scale, backend="array").raw, rounds=1, iterations=1
+        lambda: fig9.run(bench_scale).raw, rounds=1, iterations=1
     )
     write_result(results_dir, "fig9", cells.render())
 

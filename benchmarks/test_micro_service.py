@@ -66,7 +66,7 @@ def _curve_rate(batch_max: int) -> float:
     best = 0.0
     for _ in range(CURVE_REPS):
         cfg = ServiceConfig(batch_max=batch_max, **_BASE)
-        session = ServiceSession(cfg, topology=TOPO, backend="array")
+        session = ServiceSession(cfg, topology=TOPO)
         session.drain(CURVE_WARMUP)
         sw = Stopwatch()
         session.drain(N_CURVE_EVENTS)

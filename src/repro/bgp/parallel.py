@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from ..topology.asgraph import ASGraph
-from .propagation import RoutingView, compute_routings
+from .propagation import DEFAULT_BACKEND, RoutingView, compute_routings
 
 __all__ = ["ParallelRoutingEngine"]
 
@@ -27,7 +27,7 @@ class ParallelRoutingEngine:
         graph: ASGraph,
         *,
         n_workers: int | None = None,
-        backend: str = "array",
+        backend: str = DEFAULT_BACKEND,
         persistent: bool = True,
     ) -> None:
         del n_workers, persistent  # accepted for bench/, ignored

@@ -39,6 +39,9 @@ from ..topology.asgraph import ASGraph
 from ..topology.relationships import Relationship, export_allowed, invert
 
 __all__ = [
+    "BACKENDS",
+    "DEFAULT_BACKEND",
+    "check_backend",
     "RibEntry",
     "RoutingView",
     "RoutingSource",
@@ -371,8 +374,22 @@ def compute_routing(graph: ASGraph, dest: int) -> DestinationRouting:
     return DestinationRouting(graph, dest)
 
 
+#: ``array`` ships (every ``bench/`` workload runs it); ``dict`` is the
+#: oracle.  Every ``backend=`` default and ``--routing-backend`` read these.
+BACKENDS = ("dict", "array")
+DEFAULT_BACKEND = "array"
+
+
+def check_backend(backend: str) -> str:
+    """Return ``backend`` if it names one of :data:`BACKENDS`; raise
+    :class:`~repro.errors.ConfigError` naming it otherwise."""
+    if backend not in BACKENDS:
+        raise ConfigError(f"unknown routing backend {backend!r}")
+    return backend
+
+
 def compute_routings(
-    graph: ASGraph, dests: Iterable[int], backend: str
+    graph: ASGraph, dests: Iterable[int], backend: str = DEFAULT_BACKEND
 ) -> dict[int, RoutingView]:
     """Converge every destination of ``dests`` on ``backend``; returns
     ``{dest: routing}`` in first-seen order (duplicates once).
@@ -382,12 +399,10 @@ def compute_routings(
     (:func:`~repro.bgp.array_routing.compute_array_routings`).
     Propagation is serial — docs/scaling.md records why.
     """
-    if backend == "array":
+    if check_backend(backend) == "array":
         from .array_routing import compute_array_routings
 
         return dict(compute_array_routings(graph, dests))
-    if backend != "dict":
-        raise ConfigError(f"unknown routing backend {backend!r}")
     return {d: compute_routing(graph, d) for d in dict.fromkeys(dests)}
 
 
@@ -413,11 +428,12 @@ class RoutingCache:
     set of destination ASes many times; computing each destination once is
     the single biggest constant-factor win in the whole pipeline.
 
-    ``backend`` selects the routing implementation: ``"dict"`` is the
-    original pure-Python :class:`DestinationRouting`; ``"array"`` is the
-    vectorized :class:`~repro.bgp.array_routing.ArrayDestinationRouting`
-    (same query API, same results — the cross-validation suite proves it).
-    :meth:`precompute` bulk-fills the cache in blocks.
+    ``backend`` selects the routing implementation: ``"array"`` (the
+    default, :data:`DEFAULT_BACKEND`) is the vectorized
+    :class:`~repro.bgp.array_routing.ArrayDestinationRouting`; ``"dict"``
+    is the original pure-Python :class:`DestinationRouting`, kept as the
+    oracle (same query API, same results — the cross-validation suite
+    proves it).  :meth:`precompute` bulk-fills the cache in blocks.
     """
 
     def __init__(
@@ -425,15 +441,13 @@ class RoutingCache:
         graph: ASGraph,
         *,
         max_entries: int | None = None,
-        backend: str = "dict",
+        backend: str = DEFAULT_BACKEND,
     ) -> None:
-        if backend not in ("dict", "array"):
-            raise ConfigError(f"unknown routing backend {backend!r}")
         if max_entries is not None and max_entries < 1:
             raise ConfigError(f"max_entries must be >= 1, got {max_entries}")
         self.graph = graph
         self.max_entries = max_entries
-        self.backend = backend
+        self.backend = check_backend(backend)
         # dicts preserve insertion order; LRU = re-insert on hit, evict the
         # first (= least recently used) key when full.
         self._cache: dict[int, RoutingView] = {}

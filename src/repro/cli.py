@@ -20,8 +20,10 @@ The ``mifo-repro`` console script (pyproject) maps here too.
 from __future__ import annotations
 
 import argparse
+import pathlib
 import sys
 
+from .bgp.propagation import BACKENDS, DEFAULT_BACKEND, RoutingCache
 from .errors import ReproError, VerificationError
 from .experiments import REGISTRY, SCALES
 from .telemetry import Stopwatch, Telemetry, TelemetrySnapshot
@@ -33,19 +35,23 @@ __all__ = ["main"]
 
 
 def _add_backend_option(
-    parser: argparse.ArgumentParser, *, default: str | None = "dict"
+    parser: argparse.ArgumentParser, *, default: str | None = DEFAULT_BACKEND
 ) -> None:
-    """``--routing-backend``, defined once for every compute subcommand.
-
-    ``default`` exists for ``serve``, where an unset backend means "the
-    checkpoint's" on restore.
-    """
+    """``--routing-backend`` for every compute subcommand; ``serve`` passes
+    ``default=None``, where unset means the checkpoint's backend on restore."""
     parser.add_argument(
         "--routing-backend",
-        choices=("dict", "array"),
+        choices=BACKENDS,
         default=default,
-        help="BGP convergence implementation (array = vectorized CSR backend)",
+        help="BGP convergence implementation (array ships; dict is the oracle)",
     )
+
+
+def _write_json(path: pathlib.Path, text: str) -> None:
+    """``--json``: write ``text`` to ``path`` (parents made), say so on stderr."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text + "\n", encoding="utf-8")
+    print(f"wrote {path}", file=sys.stderr)
 
 
 def _cmd_list(_args: argparse.Namespace) -> int:
@@ -104,13 +110,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 print(_render_phases(delta))
         print()
         if args.json:
-            import pathlib
-
-            out = pathlib.Path(args.json)
-            out.mkdir(parents=True, exist_ok=True)
-            path = out / f"{name}_{args.scale}.json"
-            path.write_text(result.to_json(indent=2) + "\n", encoding="utf-8")
-            print(f"wrote {path}", file=sys.stderr)
+            out = pathlib.Path(args.json) / f"{name}_{args.scale}.json"
+            _write_json(out, result.to_json(indent=2))
     if telem is not None and args.trace_out:
         from .telemetry import trace
 
@@ -184,13 +185,8 @@ def _cmd_scenario_run(args: argparse.Namespace) -> int:
         n = trace.write_jsonl(telem.trace_events(), args.trace_out)
         print(f"wrote {n} trace event(s) to {args.trace_out}", file=sys.stderr)
     if args.json:
-        import pathlib
-
-        out = pathlib.Path(args.json)
-        out.mkdir(parents=True, exist_ok=True)
-        path = out / f"scenario_{args.name}_{args.scale}.json"
-        path.write_text(result.to_json(indent=2) + "\n", encoding="utf-8")
-        print(f"wrote {path}", file=sys.stderr)
+        out = pathlib.Path(args.json) / f"scenario_{args.name}_{args.scale}.json"
+        _write_json(out, result.to_json(indent=2))
     return 0
 
 
@@ -223,7 +219,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         session = ServiceSession(
             cfg,
             topology=TopologyConfig(n_ases=args.n_ases, seed=args.seed),
-            backend=args.routing_backend or "dict",
+            backend=args.routing_backend or DEFAULT_BACKEND,
             telemetry=args.metrics,
         )
     interval = (
@@ -270,8 +266,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         return 2
     schema: dict[str, object] | None = None
     if args.schema:
-        import pathlib
-
         try:
             loaded = json.loads(
                 pathlib.Path(args.schema).read_text(encoding="utf-8")
@@ -300,7 +294,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     """Statically prove (or refute) the forwarding invariants."""
-    from .bgp.propagation import RoutingCache
     from .experiments.common import deployment_sample, get_scale
     from .verify import verify_routing
 
@@ -327,12 +320,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     )
     print(report.render())
     if args.json:
-        import pathlib
-
-        path = pathlib.Path(args.json)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(report.to_json(indent=2) + "\n", encoding="utf-8")
-        print(f"wrote {path}", file=sys.stderr)
+        _write_json(pathlib.Path(args.json), report.to_json(indent=2))
     return 0 if report.ok else 1
 
 
@@ -360,12 +348,10 @@ def _cmd_export(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     """One-shot scheme comparison on user-chosen parameters."""
-    from .bgp.propagation import RoutingCache
     from .experiments.common import deployment_sample, make_provider
     from .experiments.report import text_table
     from .flowsim.simulator import FluidSimulator
     from .metrics.summary import comparison_rows
-    from .topology.generator import TopologyConfig, generate_topology
     from .traffic.matrix import TrafficConfig, powerlaw_matrix, uniform_matrix
 
     graph = generate_topology(TopologyConfig(n_ases=args.n_ases, seed=args.seed))

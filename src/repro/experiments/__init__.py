@@ -1,6 +1,6 @@
 """Experiment harness (system S10 in DESIGN.md) — one module per paper
 artifact, each exposing the unified entry point
-``run(scale, *, backend="dict", **extras) -> ExperimentResult``
+``run(scale, *, backend="array", **extras) -> ExperimentResult``
 (see :mod:`repro.experiments.result`); ``result.render()`` produces the
 human-readable report, ``result.to_json()`` the machine-readable one.
 

@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Any, Literal, NamedTuple
 import numpy as np
 
 from .. import telemetry as tm
-from ..bgp.propagation import RoutingCache
+from ..bgp.propagation import DEFAULT_BACKEND, RoutingCache, check_backend
 from ..errors import ConfigError
 from ..mifo.deflection import MifoPathBuilder
 from ..miro.negotiation import MiroRouting
@@ -118,16 +118,16 @@ class SharedContext:
 
     _cache: dict[tuple[ExperimentScale, str], "SharedContext"] = {}
 
-    def __init__(self, scale: ExperimentScale, *, backend: str = "dict") -> None:
+    def __init__(self, scale: ExperimentScale, *, backend: str = DEFAULT_BACKEND) -> None:
         self.scale = scale
-        self.backend = backend
+        self.backend = check_backend(backend)
         with tm.span("topology.build"):
             self.graph: ASGraph = generate_topology(scale.topology_config())
         self.routing = RoutingCache(self.graph, backend=backend)
 
     @classmethod
     def get(
-        cls, scale: str | ExperimentScale, *, backend: str = "dict"
+        cls, scale: str | ExperimentScale, *, backend: str = DEFAULT_BACKEND
     ) -> "SharedContext":
         """The memoized context for ``scale`` (built on first use)."""
         sc = get_scale(scale)

@@ -17,6 +17,7 @@ import types
 from collections.abc import Iterable, Sequence
 
 from . import fig5, fig6, fig7, fig8, fig9, fig12
+from .common import DEFAULT_BACKEND
 from .fig5 import cdf_curve, throughput_cdf
 from .result import ExperimentResult
 
@@ -47,7 +48,7 @@ def export_all(
     out_dir: str | os.PathLike,
     scale: str = "bench",
     *,
-    backend: str = "dict",
+    backend: str = DEFAULT_BACKEND,
 ) -> list[pathlib.Path]:
     """Run every figure experiment and dump its series; returns paths."""
     out = pathlib.Path(out_dir)

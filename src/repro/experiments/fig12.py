@@ -49,7 +49,7 @@ from ..topology.asgraph import ASGraph
 from ..topology.relationships import Relationship
 from .report import ascii_series, text_table
 from .. import telemetry as tm
-from .common import instrumented_run
+from .common import DEFAULT_BACKEND, instrumented_run
 from .result import ExperimentResult, freeze_series
 
 __all__ = ["TestbedConfig", "TestbedRun", "Fig12Result", "build_as_graph", "build_testbed", "run"]
@@ -331,14 +331,11 @@ class Fig12Result:
 def run(
     scale: str = "default",
     *,
-    backend: str = "dict",
+    backend: str = DEFAULT_BACKEND,
     config: TestbedConfig | None = None,
 ) -> ExperimentResult:
-    # The testbed is an 11-router packet simulation; its control plane is
-    # the message-level BgpNetwork, so the routing backend knob is
-    # accepted (uniform API) but has nothing to accelerate here.
     """Reproduce paper Fig. 12 (testbed FCT comparison)."""
-    del backend
+    del backend  # the testbed's control plane is the message-level BgpNetwork
     if config is None:
         config = TestbedConfig.test_scale() if scale == "test" else TestbedConfig()
     bgp = _run_one(config, mifo=False)

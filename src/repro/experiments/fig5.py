@@ -16,7 +16,7 @@ from collections.abc import Sequence
 
 from ..flowsim.simulator import FluidSimResult
 from ..metrics.cdf import Cdf
-from .common import Cells, Grid, Measured, Series, instrumented_run, run_grid
+from .common import DEFAULT_BACKEND, Cells, Grid, Measured, Series, instrumented_run, run_grid
 from .report import ascii_series, percent, text_table
 from .result import ExperimentResult
 
@@ -112,7 +112,7 @@ def render(cells: Cells) -> str:
 def run(
     scale: str = "default",
     *,
-    backend: str = "dict",
+    backend: str = DEFAULT_BACKEND,
     deployments: Sequence[float] = DEPLOYMENTS,
     solver: str = "incremental",
 ) -> ExperimentResult:

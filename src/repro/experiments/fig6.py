@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .common import Cells, Grid, instrumented_run, run_grid
+from .common import DEFAULT_BACKEND, Cells, Grid, instrumented_run, run_grid
 from .fig5 import SCHEMES, cdf_metric, cdf_render
 from .result import ExperimentResult
 
@@ -35,7 +35,7 @@ def render(cells: Cells) -> str:
 def run(
     scale: str = "default",
     *,
-    backend: str = "dict",
+    backend: str = DEFAULT_BACKEND,
     alphas: Sequence[float] = ALPHAS,
     deployment: float = DEPLOYMENT,
     solver: str = "incremental",

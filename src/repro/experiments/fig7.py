@@ -21,6 +21,7 @@ from ..metrics.cdf import survival_series
 from ..metrics.diversity import diversity_counts
 from ..miro.negotiation import MiroRouting
 from .common import (
+    DEFAULT_BACKEND,
     SharedContext,
     deployment_sample,
     get_scale,
@@ -111,7 +112,7 @@ class Fig7Result:
 def run(
     scale: str = "default",
     *,
-    backend: str = "dict",
+    backend: str = DEFAULT_BACKEND,
     deployments: Sequence[float] = DEPLOYMENTS,
 ) -> ExperimentResult:
     """Reproduce paper Fig. 7 (path diversity)."""

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .common import Cells, Grid, Measured, instrumented_run, run_grid
+from .common import DEFAULT_BACKEND, Cells, Grid, Measured, instrumented_run, run_grid
 from .report import ascii_series, percent, text_table
 from .result import ExperimentResult
 
@@ -51,7 +51,7 @@ def render(cells: Cells) -> str:
 def run(
     scale: str = "default",
     *,
-    backend: str = "dict",
+    backend: str = DEFAULT_BACKEND,
     deployments: Sequence[float] = DEPLOYMENTS,
     solver: str = "incremental",
 ) -> ExperimentResult:

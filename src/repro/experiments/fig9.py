@@ -8,7 +8,7 @@ full MIFO deployment: 67.7% of switching flows switch exactly once and
 from __future__ import annotations
 
 from ..metrics.stability import SwitchDistribution, switch_distribution
-from .common import Cells, Grid, Measured, instrumented_run, run_grid
+from .common import DEFAULT_BACKEND, Cells, Grid, Measured, instrumented_run, run_grid
 from .report import percent, text_table
 from .result import ExperimentResult
 
@@ -59,7 +59,7 @@ def render(cells: Cells) -> str:
 
 @instrumented_run
 def run(
-    scale: str = "default", *, backend: str = "dict", solver: str = "incremental"
+    scale: str = "default", *, backend: str = DEFAULT_BACKEND, solver: str = "incremental"
 ) -> ExperimentResult:
     """Reproduce paper Fig. 9 (path-switch stability)."""
     grid = Grid(("MIFO",), "deployment", (1.0,), seed_offset=5, metric=metric, render=render)

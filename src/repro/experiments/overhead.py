@@ -26,7 +26,7 @@ import numpy as np
 from ..bgp.speaker import BgpNetwork
 from ..miro.negotiation import MiroRouting
 from .. import telemetry as tm
-from .common import SharedContext, get_scale, instrumented_run, provenance_meta
+from .common import DEFAULT_BACKEND, SharedContext, get_scale, instrumented_run, provenance_meta
 from .report import text_table
 from .result import ExperimentResult
 
@@ -86,7 +86,7 @@ class OverheadResult:
 def run(
     scale: str = "default",
     *,
-    backend: str = "dict",
+    backend: str = DEFAULT_BACKEND,
     n_destinations: int = 5,
 ) -> ExperimentResult:
     """Run the control-plane overhead comparison."""

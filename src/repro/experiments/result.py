@@ -2,10 +2,10 @@
 
 Every experiment module exposes one entry point with one signature::
 
-    run(scale, *, backend="dict", **extras) -> ExperimentResult
+    run(scale, *, backend="array", **extras) -> ExperimentResult
 
-``backend`` selects the routing implementation (``dict`` oracle or the
-vectorized ``array`` backend); it flows through
+``backend`` selects the routing implementation (the vectorized ``array``
+default or the ``dict`` oracle); it flows through
 :class:`~repro.experiments.common.SharedContext` so results are
 backend-independent by construction (the cross-validation suite enforces
 it).

@@ -19,7 +19,7 @@ import dataclasses
 import numpy as np
 
 from .. import telemetry as tm
-from .common import SharedContext, get_scale, instrumented_run, provenance_meta
+from .common import DEFAULT_BACKEND, SharedContext, get_scale, instrumented_run, provenance_meta
 from .report import percent, text_table
 from .result import ExperimentResult
 
@@ -80,7 +80,7 @@ class RibStudyResult:
 def run(
     scale: str = "default",
     *,
-    backend: str = "dict",
+    backend: str = DEFAULT_BACKEND,
     n_destinations: int = 20,
 ) -> ExperimentResult:
     """Run the RIB alternative-route study."""

@@ -24,7 +24,7 @@ from .. import telemetry as tm
 from ..scenario.engine import ScenarioConfig, ScenarioEngine, ScenarioRun
 from ..scenario.events import ScenarioSpec, get_scenario
 from ..traffic.matrix import TrafficConfig, uniform_matrix
-from .common import SharedContext, get_scale, instrumented_run, provenance_meta
+from .common import DEFAULT_BACKEND, SharedContext, get_scale, instrumented_run, provenance_meta
 from .report import text_table
 from .result import ExperimentResult, freeze_series
 
@@ -92,7 +92,7 @@ class ScenarioExperimentResult:
 def run(
     scale: str = "default",
     *,
-    backend: str = "dict",
+    backend: str = DEFAULT_BACKEND,
     scenario: str | ScenarioSpec = "link_flap",
     mode: str = "incremental",
     detector: str = "oracle",

@@ -22,7 +22,7 @@ from ..errors import VerificationError
 from ..service.config import ServiceConfig
 from ..service.session import ServiceSession
 from ..topology.generator import TopologyConfig
-from .common import get_scale, instrumented_run
+from .common import DEFAULT_BACKEND, get_scale, instrumented_run
 from .report import text_table
 from .result import ExperimentResult
 
@@ -95,7 +95,7 @@ class ServiceExperimentResult:
 def run(
     scale: str = "default",
     *,
-    backend: str = "dict",
+    backend: str = DEFAULT_BACKEND,
     events: int | None = None,
     restore_check: bool = True,
     service_config: ServiceConfig | None = None,

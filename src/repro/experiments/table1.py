@@ -13,7 +13,7 @@ import dataclasses
 
 from ..topology.stats import TopologyStats, topology_stats
 from .. import telemetry as tm
-from .common import SharedContext, get_scale, instrumented_run, provenance_meta
+from .common import DEFAULT_BACKEND, SharedContext, get_scale, instrumented_run, provenance_meta
 from .report import percent, text_table
 from .result import ExperimentResult
 
@@ -59,7 +59,7 @@ class Table1Result:
 def run(
     scale: str = "default",
     *,
-    backend: str = "dict",
+    backend: str = DEFAULT_BACKEND,
 ) -> ExperimentResult:
     """Reproduce paper Table I (topology attributes)."""
     sc = get_scale(scale)

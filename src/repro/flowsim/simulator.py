@@ -91,9 +91,7 @@ class FluidSimConfig:
             if not 0.0 <= value <= sys.float_info.max:  # NaN fails too
                 raise ConfigError(f"{name} must be >= 0 and finite, got {value!r}")
         if self.solver not in ("incremental", "full"):
-            raise SimulationError(
-                f"solver {self.solver!r} not in ('incremental', 'full')"
-            )
+            raise ConfigError(f"solver {self.solver!r} not in ('incremental', 'full')")
 
 
 @dataclasses.dataclass

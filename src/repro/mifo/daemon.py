@@ -62,7 +62,7 @@ class MifoDaemon:
         In the prototype the daemon reads these from the XORP BGP module's
         RIB; experiments here compute them from
         :class:`~repro.bgp.speaker.BgpNetwork` /
-        :class:`~repro.bgp.propagation.DestinationRouting` and hand them
+        :class:`~repro.bgp.propagation.RoutingView` and hand them
         over — same information, same zero protocol overhead.
         """
         self._candidates[dst] = list(candidates)

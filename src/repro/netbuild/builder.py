@@ -12,7 +12,7 @@ between the AS-level control plane and the packet-level data plane:
   business relationship (feeding the engine's Tag-Check);
 * hosts attach to an edge router of their AS;
 * FIBs are **derived from the BGP substrate** (per-destination
-  :func:`repro.bgp.propagation.compute_routing`): default ports follow the
+  :class:`~repro.bgp.propagation.RoutingCache` views): default ports follow the
   converged next hop, ``alt`` ports follow the best RIB alternative, and a
   :class:`~repro.mifo.daemon.MifoDaemon` per MIFO router keeps the alt
   port on the alternative with maximal measured spare capacity —
@@ -25,7 +25,7 @@ import dataclasses
 import typing
 from collections.abc import Iterable
 
-from ..bgp.propagation import DestinationRouting, RoutingCache
+from ..bgp.propagation import RoutingCache, RoutingView
 from ..dataplane.network import Network
 from ..dataplane.port import Port
 from ..dataplane.router import Engine, Router
@@ -228,7 +228,7 @@ def _port_toward(built: RouterLevelNetwork, router: Router, asn: int, via: int) 
 
 def _install_fibs_for(
     built: RouterLevelNetwork,
-    routing: DestinationRouting,
+    routing: RoutingView,
     prefix: str,
     dest_asn: int,
 ) -> None:

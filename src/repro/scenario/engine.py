@@ -57,6 +57,7 @@ from typing import TYPE_CHECKING, ClassVar
 import numpy as np
 
 from .. import telemetry as tm
+from ..bgp.propagation import DEFAULT_BACKEND
 from ..errors import ConfigError, NoRouteError, VerificationError
 from ..flowsim.flow import Flow
 from ..flowsim.incremental import IncrementalMaxMin
@@ -218,7 +219,7 @@ class ScenarioEngine:
         demands: "Sequence[FlowSpec]",
         spec: ScenarioSpec,
         *,
-        backend: str = "dict",
+        backend: str = DEFAULT_BACKEND,
         capable: frozenset[int] | None = None,
         seed: int = 2014,
         config: ScenarioConfig | None = None,

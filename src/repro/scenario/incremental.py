@@ -39,7 +39,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, ClassVar
 
 from .. import telemetry as tm
-from ..bgp.propagation import RoutingView, compute_routings
+from ..bgp.propagation import DEFAULT_BACKEND, RoutingView, check_backend, compute_routings
 from ..errors import ConfigError, TopologyError, VerificationError
 from ..topology.asgraph import ASGraph
 from ..topology.relationships import Relationship, export_allowed
@@ -91,17 +91,15 @@ class IncrementalRouting:
         self,
         graph: ASGraph,
         *,
-        backend: str = "dict",
+        backend: str = DEFAULT_BACKEND,
         recompute: str = "dirty",
     ) -> None:
-        if backend not in ("dict", "array"):
-            raise ConfigError(f"unknown routing backend {backend!r}")
         if recompute not in ("dirty", "all"):
             raise ConfigError(
                 f"recompute policy {recompute!r} not in ('dirty', 'all')"
             )
         self.graph = graph
-        self.backend = backend
+        self.backend = check_backend(backend)
         self.recompute = recompute
         self._views: dict[int, RoutingView] = {}
         #: cumulative advance() bookkeeping, surfaced in run provenance.

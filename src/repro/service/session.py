@@ -43,6 +43,7 @@ from collections import deque
 from typing import TYPE_CHECKING, Any, ClassVar
 
 from .. import telemetry as tm
+from ..bgp.propagation import DEFAULT_BACKEND, check_backend
 from ..errors import ConfigError
 from ..scenario.engine import EventRecord, ScenarioEngine
 from ..scenario.events import ScenarioSpec
@@ -102,14 +103,14 @@ class ServiceSession:
         config: ServiceConfig | None = None,
         *,
         topology: TopologyConfig | None = None,
-        backend: str = "dict",
+        backend: str = DEFAULT_BACKEND,
         telemetry: Telemetry | bool | None = None,
         bootstrap: bool = True,
     ) -> None:
         self.config = config if config is not None else ServiceConfig()
         self.config.validate()
         self.topology = topology if topology is not None else TopologyConfig()
-        self.backend = backend
+        self.backend = check_backend(backend)
         if telemetry is True:
             self.telemetry: Telemetry | None = Telemetry()
         elif telemetry is False or telemetry is None:

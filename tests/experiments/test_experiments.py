@@ -7,6 +7,7 @@ claim the paper makes for that table/figure, on the scaled-down workload.
 
 import pytest
 
+from repro.bgp.propagation import DEFAULT_BACKEND
 from repro.experiments import REGISTRY, fig5, fig6, fig7, fig8, fig9, table1
 from repro.experiments.common import SCALES, SharedContext, deployment_sample, get_scale
 from repro.experiments.fig5 import throughput_cdf
@@ -41,13 +42,13 @@ class TestCommon:
 
     def test_provenance_meta_uniform_across_experiments(self):
         results = [
-            table1.run("test", backend="dict"),
+            table1.run("test"),
             fig7.run("test", deployments=(1.0,)),
         ]
         for res in results:
             assert {"backend", "routing_cache"} <= set(res.meta)
             assert "workers" not in res.meta
-            assert res.meta["backend"] == "dict"
+            assert res.meta["backend"] == DEFAULT_BACKEND
             assert isinstance(res.meta["routing_cache"], dict)
 
     def test_registry_complete(self):

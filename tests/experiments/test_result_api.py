@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from repro.bgp.propagation import DEFAULT_BACKEND
 from repro.experiments import ribstudy, table1
 from repro.experiments.common import SCALES, ExperimentScale, SharedContext
 from repro.experiments.result import (
@@ -35,7 +36,7 @@ class TestExperimentResult:
         assert payload["name"] == "table1"
         assert payload["scale"] == "test"
         assert set(payload) == {"name", "scale", "series", "meta"}
-        assert payload["meta"]["backend"] == "dict"
+        assert payload["meta"]["backend"] == DEFAULT_BACKEND
 
     def test_render_delegates_to_raw(self, result):
         assert result.render() == result.raw.render()

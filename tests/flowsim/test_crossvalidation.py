@@ -11,6 +11,7 @@ run's on the same event stream, and both modes emit a schema-valid
 
 import pytest
 
+from repro.bgp.propagation import DEFAULT_BACKEND
 from repro.experiments import fig5, fig6, fig8, fig9
 from repro.experiments.common import SharedContext
 from repro.telemetry import Telemetry
@@ -28,7 +29,7 @@ def fresh_contexts():
     SharedContext._cache.update(saved)
 
 
-def _run(mod, solver: str, backend: str = "dict", telemetry=None):
+def _run(mod, solver: str, backend: str = DEFAULT_BACKEND, telemetry=None):
     SharedContext._cache.clear()
     kwargs = {"backend": backend, "solver": solver}
     if telemetry is not None:
@@ -38,7 +39,7 @@ def _run(mod, solver: str, backend: str = "dict", telemetry=None):
     return mod.run("test", **kwargs)
 
 
-def _json(mod, solver: str, backend: str = "dict") -> str:
+def _json(mod, solver: str, backend: str = DEFAULT_BACKEND) -> str:
     return _run(mod, solver, backend).to_json(include_provenance=False)
 
 
@@ -49,8 +50,8 @@ class TestByteIdentity:
     def test_incremental_equals_full(self, mod):
         assert _json(mod, "incremental") == _json(mod, "full")
 
-    def test_incremental_equals_full_on_array_backend(self, mod=fig9):
-        assert _json(mod, "incremental", "array") == _json(mod, "full", "array")
+    def test_incremental_equals_full_on_dict_backend(self, mod=fig9):
+        assert _json(mod, "incremental", "dict") == _json(mod, "full", "dict")
 
     def test_solver_mode_is_backend_independent(self):
         assert _json(fig9, "incremental", "dict") == _json(

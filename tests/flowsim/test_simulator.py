@@ -258,7 +258,7 @@ class TestSolverModes:
         assert first == second == fresh
 
     def test_bad_solver_rejected(self):
-        with pytest.raises(SimulationError, match="solver"):
+        with pytest.raises(ConfigError, match="solver"):
             FluidSimConfig(solver="magic").validate()
 
 

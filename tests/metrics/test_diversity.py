@@ -84,7 +84,7 @@ class TestMifoCount:
         nodes = list(g.nodes())
         src, dst = rng.choice(nodes, size=2, replace=False)
         src, dst = int(src), int(dst)
-        rc = RoutingCache(g)
+        rc = RoutingCache(g, backend="dict")
         if not rc(dst).has_route(src):
             return
         capable = frozenset(
@@ -185,7 +185,7 @@ class TestCountsAcrossBackends:
 
 class TestDiversityCounts:
     def test_joint_series(self, small_internet):
-        rc = RoutingCache(small_internet)
+        rc = RoutingCache(small_internet, backend="dict")
         capable = frozenset(small_internet.nodes())
         miro = MiroRouting(small_internet, rc, capable)
         pairs = [(10, 0), (20, 0), (30, 0)]

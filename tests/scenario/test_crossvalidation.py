@@ -14,11 +14,12 @@ import json
 
 import pytest
 
+from repro.bgp.propagation import DEFAULT_BACKEND
 from repro.experiments import scenario as scenario_exp
 from repro.scenario.events import SCENARIOS
 
 
-def _payload(name: str, *, mode: str, backend: str = "dict", **kw) -> str:
+def _payload(name: str, *, mode: str, backend: str = DEFAULT_BACKEND, **kw) -> str:
     result = scenario_exp.run(
         "test", backend=backend, scenario=name, mode=mode, **kw
     )
@@ -32,7 +33,7 @@ def test_incremental_matches_full(name):
 
 def test_array_backend_matches_dict():
     assert _payload("edge_flap", mode="incremental", backend="array") == _payload(
-        "edge_flap", mode="incremental"
+        "edge_flap", mode="incremental", backend="dict"
     )
 
 

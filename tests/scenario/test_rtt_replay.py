@@ -17,6 +17,7 @@ import json
 import pytest
 
 from repro import telemetry as tm
+from repro.bgp.propagation import DEFAULT_BACKEND
 from repro.measure.eval import (
     detections_from_trace,
     planted_changepoints,
@@ -39,7 +40,7 @@ PRECISION_FLOOR = 0.9
 RECALL_FLOOR = 0.8
 
 
-def _run(graph, demands, detector, *, backend="dict", mode="incremental"):
+def _run(graph, demands, detector, *, backend=DEFAULT_BACKEND, mode="incremental"):
     """Play rtt_replay once; returns (records, trace events, counters)."""
     telem = Telemetry()
     tm.activate(telem)
@@ -76,9 +77,7 @@ def runs(graph, demands):
         "changepoint": _run(graph, demands, "changepoint"),
         "threshold": _run(graph, demands, "threshold"),
         "oracle": _run(graph, demands, "oracle"),
-        "changepoint_array": _run(
-            graph, demands, "changepoint", backend="array"
-        ),
+        "changepoint_dict": _run(graph, demands, "changepoint", backend="dict"),
         "changepoint_full": _run(graph, demands, "changepoint", mode="full"),
     }
 
@@ -146,8 +145,8 @@ class TestDeflection:
 
 class TestDeterminism:
     def test_cross_backend_byte_identity(self, runs):
-        rec_dict, ev_dict, cnt_dict = runs["changepoint"]
-        rec_arr, ev_arr, cnt_arr = runs["changepoint_array"]
+        rec_arr, ev_arr, cnt_arr = runs["changepoint"]
+        rec_dict, ev_dict, cnt_dict = runs["changepoint_dict"]
         assert rec_dict == rec_arr
         assert json.dumps(ev_dict, sort_keys=True) == json.dumps(
             ev_arr, sort_keys=True

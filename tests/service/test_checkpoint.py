@@ -70,10 +70,10 @@ class TestKillAndRestore:
 
     def test_cross_backend_restore(self, reference):
         restored = ServiceSession.restore(
-            reference["checkpoints"][N_EVENTS // 2], backend="array"
+            reference["checkpoints"][N_EVENTS // 2], backend="dict"
         )
         restored.drain(N_EVENTS - N_EVENTS // 2)
-        assert restored.engine.routing.backend == "array"
+        assert restored.engine.routing.backend == "dict"
         assert (
             restored.result().to_json(include_provenance=False)
             == reference["payload"]

@@ -130,6 +130,10 @@ class TestStrictness:
         with pytest.raises(ConfigError, match=field):
             cls(**{field: value}).validate()
 
+    def test_unknown_solver_rejected(self):
+        with pytest.raises(ConfigError, match="magic"):
+            config_from_dict(FluidSimConfig, {"solver": "magic"})
+
     def test_missing_keys_keep_defaults(self):
         cfg = config_from_dict(ServiceConfig, {"seed": 99})
         assert cfg.seed == 99
