@@ -56,7 +56,7 @@ from ..scenario.incremental import IncrementalRouting
 from ..telemetry import Telemetry
 from ..topology.dynamics import without_link
 from ..topology.relationships import Relationship
-from .stream import STREAM_EVENT_TYPES, ServiceTick, StreamEvent
+from .stream import STREAM_EVENT_TYPES, FlowArrival, ServiceTick, StreamEvent, check_fed
 
 __all__ = ["CHECKPOINT_FORMAT", "CHECKPOINT_VERSION", "capture", "restore", "to_json"]
 
@@ -454,19 +454,19 @@ def _restore_session_state(session: Any, ss: dict[str, Any]) -> None:
         event_cls = STREAM_EVENT_TYPES.get(kind)
         if event_cls is None:
             raise ConfigError(f"unknown fed event kind {kind!r} in checkpoint")
-        fed.append((float(dt), event_cls(**fields)))
+        fed_event = event_cls(**fields)
+        check_fed(dt, fed_event, session._base_graph)
+        fed.append((float(dt), fed_event))
     session._fed = fed
     pending: list[ServiceTick] = []
     for retire, kind, fields in ss["pending"]:
-        event: StreamEvent | None = None
-        if kind is not None:
-            event_cls = STREAM_EVENT_TYPES.get(kind)
-            if event_cls is None:
-                raise ConfigError(
-                    f"unknown pending event kind {kind!r} in checkpoint"
-                )
-            event = event_cls(**fields)
+        # Only arrivals buffer (every other event is a barrier), and the
+        # session numbers the next arrival by counting the buffered ticks.
+        if kind != "arrival":
+            raise ConfigError(
+                f"pending event kind {kind!r} in checkpoint: only arrivals buffer"
+            )
         pending.append(
-            ServiceTick(retire=tuple(int(x) for x in retire), event=event)
+            ServiceTick(retire=tuple(int(x) for x in retire), event=FlowArrival(**fields))
         )
     session._pending = pending

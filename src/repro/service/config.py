@@ -91,6 +91,8 @@ class ServiceConfig:
     def validate(self) -> None:
         """Reject inconsistent knob combinations."""
         self.scenario_config().validate()
+        if not (isinstance(self.seed, int) and not isinstance(self.seed, bool) and self.seed >= 0):
+            raise ConfigError(f"seed must be an int >= 0, got {self.seed!r}")
         for name in ("arrival_rate", "mean_lifetime_events", "zipf_alpha"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)!r}")

@@ -50,7 +50,14 @@ from ..scenario.events import ScenarioSpec
 from ..telemetry import Stopwatch, Telemetry
 from ..topology.generator import TopologyConfig, generate_topology
 from .config import ServiceConfig
-from .stream import BatchTick, EventStream, FlowArrival, ServiceTick, StreamEvent
+from .stream import (
+    BatchTick,
+    EventStream,
+    FlowArrival,
+    ServiceTick,
+    StreamEvent,
+    check_fed,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from ..experiments.result import ExperimentResult
@@ -62,6 +69,11 @@ __all__ = ["DrainReport", "ServiceSession"]
 _SERVICE_SPEC = ScenarioSpec(
     "service", "unbounded event stream (repro.service)", ()
 )
+
+#: generated events read per :meth:`~repro.service.stream.EventStream.events`
+#: call: one block amortizes the call's set-up to well under a microsecond
+#: an event.
+_LOOKAHEAD = 256
 
 
 @dataclasses.dataclass(frozen=True)
@@ -91,6 +103,10 @@ class ServiceSession:
     DERIVABLE: ClassVar[dict[str, str]] = {
         "_base_graph": "regenerated from the captured topology config",
         "_stream": "pure function of (base graph, config)",
+        "_ahead": (
+            "events _stream_index onward, a pure function of the index; "
+            "a restored session starts empty and refills on its next step"
+        ),
         "_expiry": (
             "captured sorted and re-heapified, so the heap layout may differ; "
             "entries are unique (due tick, flow id) pairs, so heappop yields "
@@ -131,9 +147,13 @@ class ServiceSession:
         self._fed: deque[tuple[float, StreamEvent]] = deque()
         #: min-heap of (due_tick, flow_id) retirements.
         self._expiry: list[tuple[int, int]] = []
-        #: buffered non-barrier ticks awaiting the next flush (batching).
+        #: buffered non-barrier ticks awaiting the next flush (batching);
+        #: each is an arrival, since every other event is a barrier.
         self._pending: list[ServiceTick] = []
+        #: index of the next generated event ...
         self._stream_index = 0
+        #: ... and the generated events from it on, read a block at a time.
+        self._ahead: deque[tuple[float, StreamEvent]] = deque()
         self._clock = 0.0
         self._tick = 0
         self.arrivals_total = 0
@@ -160,20 +180,24 @@ class ServiceSession:
         if fed:
             dt, event = self._fed.popleft()
         else:
-            dt, event = self._stream.event_at(self._stream_index)
+            if not self._ahead:
+                self._ahead.extend(
+                    self._stream.events(self._stream_index, _LOOKAHEAD)
+                )
+            dt, event = self._ahead.popleft()
             self._stream_index += 1
         self._clock += dt
         t = self._tick
         due: list[int] = []
         while self._expiry and self._expiry[0][0] <= t:
             due.append(heapq.heappop(self._expiry)[1])
-        arrival_id: int | None = None
         if isinstance(event, FlowArrival):
             # Buffered arrivals haven't registered yet, so the id this
-            # event will receive is offset by the arrivals ahead of it.
-            arrival_id = self.engine.next_flow_id + sum(
-                1 for tk in self._pending if isinstance(tk.event, FlowArrival)
-            )
+            # event will receive is offset by the ticks buffered ahead of
+            # it (each one an arrival).
+            arrival_id = self.engine.next_flow_id + len(self._pending)
+            heapq.heappush(self._expiry, (t + event.lifetime, arrival_id))
+            self.arrivals_total += 1
         tick = ServiceTick(retire=tuple(due), event=event)
         verify = (
             self.config.verify_every > 0
@@ -183,13 +207,8 @@ class ServiceSession:
         # topology/capacity changes resolve symbolically against the live
         # engine, fed events are operator interventions, and a verify
         # tick certifies a single-event epoch.
-        barrier = fed or verify or not (
-            event is None or isinstance(event, FlowArrival)
-        )
+        barrier = fed or verify or not isinstance(event, FlowArrival)
         self._tick = t + 1
-        if arrival_id is not None and isinstance(event, FlowArrival):
-            heapq.heappush(self._expiry, (t + event.lifetime, arrival_id))
-            self.arrivals_total += 1
         self.retired_total += len(due)
         if self.config.batch_max <= 1 or barrier:
             if self._pending:
@@ -239,10 +258,11 @@ class ServiceSession:
         ``dt`` is the virtual-clock gap the event carries (default: it
         happens "immediately", advancing the clock by nothing).  Fed
         events are part of the checkpointed state, so kill-and-restore
-        around them stays exact.
+        around them stays exact.  A malformed event or gap is refused
+        here (:func:`~repro.service.stream.check_fed`), before it can
+        reach the clock or the expiry heap.
         """
-        if dt < 0.0:
-            raise ConfigError("fed event dt must be >= 0")
+        check_fed(dt, event, self._base_graph)
         self._fed.append((float(dt), event))
 
     def drain(self, n: int) -> DrainReport:

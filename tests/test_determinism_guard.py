@@ -31,6 +31,10 @@ RUNS = (
      "--checkpoint-out", "{out}/first.ckpt.json"),
     ("serve", "--events", "100", "--restore-from", "{out}/first.ckpt.json",
      "--checkpoint-every", "100", "--checkpoint-out", "{out}/second.ckpt.json"),
+    ("serve", "--events", "2000", "--batch-max", "64", "--checkpoint-every", "1000",
+     "--checkpoint-out", "{out}/batched.ckpt.json"),
+    ("serve", "--events", "1000", "--restore-from", "{out}/batched.ckpt.json",
+     "--checkpoint-every", "1000", "--checkpoint-out", "{out}/batched-restored.ckpt.json"),
 )
 
 #: the one wall-clock part of the output, a ``====`` header's ``(…, 1.2s)``.
@@ -80,7 +84,7 @@ def test_cli_outputs_agree_across_hash_seeds(tmp_path):
         for proc in procs.values():
             proc.kill()
     first, second = _outputs(tmp_path / "1"), _outputs(tmp_path / "2")
-    assert len(first) == 18 and sorted(first) == sorted(second)
+    assert len(first) == 22 and sorted(first) == sorted(second)
     differ = [name for name in first if first[name] != second[name]]
     assert not differ, f"differ between hash seeds 1 and 2: {differ}"
 
